@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use serde::Serialize;
 
-use jetsim_des::SimDuration;
+use jetsim_des::{splitmix64, SimDuration};
 use jetsim_dnn::{ModelGraph, Precision};
 use jetsim_profile::JetsonStatsReport;
 use jetsim_sim::{FaultPlan, GpuPolicy, ProfilerMode, SimConfig, SimError, Simulation};
@@ -767,15 +767,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
             Err(_) => "panic with non-string payload".to_string(),
         },
     }
-}
-
-/// Sebastiano Vigna's splitmix64 finalizer: a cheap, well-mixed 64-bit
-/// hash used to decorrelate per-cell seeds.
-fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 fn mean_ms(trace: &jetsim_sim::RunTrace, f: fn(&jetsim_sim::ProcessStats) -> SimDuration) -> f64 {

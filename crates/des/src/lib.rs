@@ -39,6 +39,6 @@ pub mod trace;
 pub use arrivals::{gaps_from_times, ArrivalProcess, ArrivalStream};
 pub use calendar::CalendarQueue;
 pub use queue::EventQueue;
-pub use rng::SimRng;
+pub use rng::{splitmix64, SimRng};
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceBuffer, TraceEvent};

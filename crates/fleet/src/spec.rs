@@ -25,18 +25,28 @@
 //! 3. **Simulation** — every site's `SimConfig` is built sequentially
 //!    (warming the engine cache in deterministic order); the site sims
 //!    are then *independent* — they see only their own arrival trace
-//!    and uplink offsets — so they run on any number of threads and the
-//!    results are reassembled in site-index order.
+//!    and uplink offsets — so they run on any number of threads. Each
+//!    worker folds its site's `RunTrace` into what the report reads
+//!    (the event count, the site's [`ServeReport`] and each root
+//!    request's earliest chain completion) and drops the trace before
+//!    taking the next site, so peak memory is O(workers × one site
+//!    trace), not O(sites). The main thread then merges the folded
+//!    sites in site-index order, walking each site's decisions in
+//!    emission order, so every floating-point sum accumulates in the
+//!    same order whatever the worker count.
 //!
 //! Same spec + seed ⇒ byte-identical [`FleetReport`] at any
 //! `--workers`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use jetsim::scenario::ScenarioSpec;
-use jetsim_des::{gaps_from_times, ArrivalProcess, ArrivalStream, SimDuration, SimTime};
+use jetsim_des::{
+    gaps_from_times, splitmix64, ArrivalProcess, ArrivalStream, SimDuration, SimTime,
+};
 use jetsim_serve::{build_serve_spec, estimate_capacity, ServeReport, ServeSpec};
-use jetsim_sim::{RunTrace, Simulation};
+use jetsim_sim::{RunTrace, SimConfig, Simulation};
 
 use crate::network::{Direction, NetworkModel};
 use crate::report::{FleetReport, SiteReport};
@@ -50,14 +60,6 @@ pub const DEFAULT_TELEMETRY_EVERY: SimDuration = SimDuration::from_millis(100);
 /// the standalone timeline bit for bit.
 fn class_seed(master: u64, class: usize) -> u64 {
     master.wrapping_add((class as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Nearest-rank percentile over an already-sorted slice, in ms.
@@ -90,6 +92,55 @@ struct Decision {
     emitted: SimDuration,
     uplink: SimDuration,
     downlink: SimDuration,
+}
+
+/// What the aggregation reads of one site's run. A worker folds its
+/// site's [`RunTrace`] into this and drops the trace before taking the
+/// next site, so the pool holds at most one trace per worker.
+struct SiteRun {
+    sim_events: u64,
+    report: ServeReport,
+    /// Per class, the earliest chain completion of each root request
+    /// (retries and hedges folded in), in arrival order; `None` when
+    /// no attempt of the chain completed.
+    root_completions: Vec<Vec<Option<SimTime>>>,
+}
+
+impl SiteRun {
+    fn fold(
+        trace: &RunTrace,
+        n_classes: usize,
+        slo: SimDuration,
+        warmup: SimDuration,
+        deadline: Option<SimDuration>,
+    ) -> SiteRun {
+        // Earliest chain completion per root, as the serve metrics
+        // compute it.
+        let n = trace.requests.len();
+        let mut root = vec![0usize; n];
+        let mut completion: Vec<Option<SimTime>> = vec![None; n];
+        for (i, r) in trace.requests.iter().enumerate() {
+            root[i] = match r.retry_of.or(r.hedge_of) {
+                Some(parent) => root[parent],
+                None => i,
+            };
+            if let Some(at) = r.completed {
+                let best = completion[root[i]];
+                completion[root[i]] = Some(best.map_or(at, |b| b.min(at)));
+            }
+        }
+        let mut root_completions: Vec<Vec<Option<SimTime>>> = vec![Vec::new(); n_classes];
+        for (i, r) in trace.requests.iter().enumerate() {
+            if r.retry_of.is_none() && r.hedge_of.is_none() {
+                root_completions[r.group].push(completion[i]);
+            }
+        }
+        SiteRun {
+            sim_events: trace.sim_events,
+            report: ServeReport::from_trace_with_deadline(trace, slo, warmup, deadline),
+            root_completions,
+        }
+    }
 }
 
 impl FleetSpec {
@@ -358,18 +409,15 @@ impl FleetSpec {
             })
             .clamp(1, total_sites.max(1));
         let next = AtomicUsize::new(0);
-        let mut slots: Vec<Option<Result<RunTrace, String>>> = Vec::new();
+        let config_slots: Vec<Mutex<Option<SimConfig>>> =
+            configs.into_iter().map(|c| Mutex::new(Some(c))).collect();
+        let mut slots: Vec<Option<Result<SiteRun, String>>> = Vec::new();
         slots.resize_with(total_sites, || None);
-        let mut configs: Vec<Option<_>> = configs.into_iter().map(Some).collect();
-        let config_slots: Vec<std::sync::Mutex<Option<_>>> = configs
-            .iter_mut()
-            .map(|c| std::sync::Mutex::new(c.take()))
-            .collect();
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     scope.spawn(|| {
-                        let mut done: Vec<(usize, Result<RunTrace, String>)> = Vec::new();
+                        let mut done: Vec<(usize, Result<SiteRun, String>)> = Vec::new();
                         loop {
                             let index = next.fetch_add(1, Ordering::Relaxed);
                             let Some(slot) = config_slots.get(index) else {
@@ -380,22 +428,24 @@ impl FleetSpec {
                                 .expect("config slot lock")
                                 .take()
                                 .expect("every site config taken exactly once");
-                            let trace = Simulation::new(config)
-                                .map(|sim| sim.run())
+                            let run = Simulation::new(config)
+                                .map(|sim| {
+                                    SiteRun::fold(&sim.run(), n_classes, slo, warmup, deadline)
+                                })
                                 .map_err(|e| e.to_string());
-                            done.push((index, trace));
+                            done.push((index, run));
                         }
                         done
                     })
                 })
                 .collect();
             for handle in handles {
-                for (index, trace) in handle.join().expect("fleet worker panicked") {
-                    slots[index] = Some(trace);
+                for (index, run) in handle.join().expect("fleet worker panicked") {
+                    slots[index] = Some(run);
                 }
             }
         });
-        let traces: Vec<RunTrace> = slots
+        let runs: Vec<SiteRun> = slots
             .into_iter()
             .map(|slot| slot.expect("every site dispatched exactly once"))
             .collect::<Result<_, _>>()?;
@@ -403,7 +453,9 @@ impl FleetSpec {
         // 4. Aggregation: match each site's k-th root request of class
         // g with the k-th decision routed to (site, g) — arrival order
         // is FIFO on both sides — and judge end-to-end latency
-        // (network legs included) at the client.
+        // (network legs included) at the client. Sites and decisions
+        // are walked in index order, so every sum accumulates in the
+        // same order at any worker count.
         let mut e2e: Vec<SimDuration> = Vec::new();
         let mut requests = 0usize;
         let mut served = 0usize;
@@ -412,34 +464,14 @@ impl FleetSpec {
         let mut non_home = 0usize;
         let mut traffic_kb = 0.0_f64;
         let mut network_total = SimDuration::ZERO;
+        let mut sim_events_total = 0u64;
         let mut sites_out = Vec::with_capacity(total_sites);
-        for (s, trace) in traces.iter().enumerate() {
+        for (s, (run, device)) in runs.into_iter().zip(devices).enumerate() {
             let site_is_cloud = cloud_index == Some(s);
-            // Earliest chain completion per root, as the serve metrics
-            // compute it.
-            let n = trace.requests.len();
-            let mut root = vec![0usize; n];
-            let mut completion: Vec<Option<SimTime>> = vec![None; n];
-            for (i, r) in trace.requests.iter().enumerate() {
-                root[i] = match r.retry_of.or(r.hedge_of) {
-                    Some(parent) => root[parent],
-                    None => i,
-                };
-                if let Some(at) = r.completed {
-                    let best = completion[root[i]];
-                    completion[root[i]] = Some(best.map_or(at, |b| b.min(at)));
-                }
-            }
-            let mut roots_by_class: Vec<Vec<usize>> = vec![Vec::new(); n_classes];
-            for (i, r) in trace.requests.iter().enumerate() {
-                if r.retry_of.is_none() && r.hedge_of.is_none() {
-                    roots_by_class[r.group].push(i);
-                }
-            }
             let mut routed = 0usize;
-            for g in 0..n_classes {
-                routed += site_decisions[s][g].len();
-                for (k, &d_index) in site_decisions[s][g].iter().enumerate() {
+            for (routed_here, completions) in site_decisions[s].iter().zip(&run.root_completions) {
+                routed += routed_here.len();
+                for (k, &d_index) in routed_here.iter().enumerate() {
                     let d = decisions[d_index];
                     traffic_kb += self.network.traffic_kb(d.home, d.site, site_is_cloud);
                     if d.emitted < warmup {
@@ -454,7 +486,7 @@ impl FleetSpec {
                     }
                     // A root can be missing when the uplink pushed its
                     // delivery past the horizon: emitted, never served.
-                    let done = roots_by_class[g].get(k).and_then(|&i| completion[root[i]]);
+                    let done = completions.get(k).copied().flatten();
                     if let Some(at) = done {
                         let latency = (at - SimTime::ZERO) - d.emitted + d.downlink;
                         served += 1;
@@ -466,17 +498,17 @@ impl FleetSpec {
                     }
                 }
             }
+            sim_events_total += run.sim_events;
             sites_out.push(SiteReport {
                 site: s,
                 cloud: site_is_cloud,
-                device: devices[s].clone(),
+                device,
                 routed,
-                sim_events: trace.sim_events,
-                report: ServeReport::from_trace_with_deadline(trace, slo, warmup, deadline),
+                sim_events: run.sim_events,
+                report: run.report,
             });
         }
         e2e.sort_unstable();
-        let sim_events_total = traces.iter().map(|t| t.sim_events).sum();
         Ok(FleetReport {
             router: self.router.to_string(),
             edge_sites,

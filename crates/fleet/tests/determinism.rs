@@ -36,6 +36,45 @@ spec = "mobilenet_v2:fp16:1:1"
 arrival = "mmpp:40:400:80:40"
 "#;
 
+/// Four sites with retry, hedge and seeded faults, so every site's
+/// trace carries retry and hedge chains whose roots the fleet folds.
+/// Two replicas per tenant and a 1 ms hedge let both hedge twins run,
+/// so some chains complete twice and only the earlier completion may
+/// count.
+const CHAINED_TOML: &str = r#"
+seed = 4321
+duration = "400ms"
+warmup = "100ms"
+slo = "30ms"
+fault_seed = 7
+deadline = "15ms"
+retry = 3
+hedge = "1ms"
+
+[fleet]
+sites = 4
+router = "locality"
+jitter = "2ms"
+
+[[tenants]]
+spec = "resnet50:int8:1:2"
+arrival = "poisson:200"
+
+[[tenants]]
+spec = "mobilenet_v2:fp16:1:2"
+arrival = "mmpp:40:400:80:40"
+"#;
+
+/// FNV-1a of the `CHAINED_TOML` report JSON, pinned before the per-site
+/// fold moved into the worker threads.
+const CHAINED_REPORT_FNV: u64 = 0x4e48_67f2_dcb2_7eab;
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3)
+    })
+}
+
 #[test]
 fn fleet_report_is_byte_identical_across_worker_counts() {
     let base = build_fleet_spec(&scenario(FLEET_TOML)).unwrap();
@@ -43,6 +82,21 @@ fn fleet_report_is_byte_identical_across_worker_counts() {
     for workers in [2usize, 8] {
         let json = base.clone().workers(Some(workers)).run().unwrap().to_json();
         assert_eq!(json, reference, "FleetReport diverged at {workers} workers");
+    }
+
+    let chained = build_fleet_spec(&scenario(CHAINED_TOML)).unwrap();
+    for workers in [1usize, 2, 5] {
+        let report = chained.clone().workers(Some(workers)).run().unwrap();
+        let groups = report.sites.iter().flat_map(|s| &s.report.groups);
+        let extra_attempts: usize = groups.clone().map(|g| g.attempts - g.offered).sum();
+        let hedge_losers: usize = groups.map(|g| g.hedge_losers).sum();
+        assert!(extra_attempts > 0, "retries and hedges spawn chain members");
+        assert!(hedge_losers > 0, "some hedge chains resolve with a loser");
+        assert_eq!(
+            fnv1a(report.to_json().as_bytes()),
+            CHAINED_REPORT_FNV,
+            "chained FleetReport diverged at {workers} workers"
+        );
     }
 }
 

@@ -478,6 +478,13 @@ impl ServeSpec {
     /// and [`AdmissionPolicy::Degrade`] tenants get a pre-built fallback
     /// engine one rung down the pressure ladder.
     ///
+    /// Serve configs do not record kernel events: no serving report
+    /// reads them, and they dominate a long run's trace memory. The
+    /// kernel-event jitter draws from its own RNG stream, so the
+    /// dynamics are unchanged either way; set
+    /// `config.record_kernel_events = true` on the returned config to
+    /// get a [`RunTrace`](jetsim_sim::RunTrace) with them back.
+    ///
     /// # Errors
     ///
     /// [`ServeError::NoTenants`], [`ServeError::Build`] naming the
@@ -491,7 +498,8 @@ impl ServeSpec {
             .measure(self.duration)
             .seed(self.seed)
             .gpu_policy(self.gpu_policy)
-            .faults(self.faults.clone());
+            .faults(self.faults.clone())
+            .record_kernel_events(false);
         let mut plan = ServePlan::new();
         let mut next_pid = 0usize;
         let res = &self.resilience;

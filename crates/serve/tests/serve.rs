@@ -3,7 +3,11 @@
 
 use jetsim::platform::Platform;
 use jetsim_des::{ArrivalProcess, SimDuration};
-use jetsim_serve::{AdmissionPolicy, AutoscaleSpec, ServeSpec, ServeTenant};
+use jetsim_serve::{
+    AdmissionPolicy, AutoscaleSpec, FaultPlan, HedgePolicy, OomPolicy, RecoverySpec,
+    ResiliencePolicies, RestartCost, ServeReport, ServeSpec, ServeTenant,
+};
+use jetsim_sim::{GpuPolicy, Simulation};
 
 fn base_spec() -> ServeSpec {
     ServeSpec::new(Platform::orin_nano())
@@ -242,5 +246,100 @@ fn scale_to_zero_reports_parks_and_the_cold_start_tax() {
     assert!(
         g.cold_starts + g.warm_starts > 0,
         "arrivals after a park must re-provision (in-window starts reported)"
+    );
+}
+
+/// Serve configs leave kernel-event recording off, and turning it back
+/// on changes nothing but `kernel_events`: the jitter those events carry
+/// draws from its own RNG stream, so every report and every other trace
+/// column stays bit-identical. Exercised on the widest serve path — the
+/// preemptive priority policy, seeded faults, every resilience knob and
+/// a tenant autoscaled from zero.
+#[test]
+fn kernel_event_recording_does_not_perturb_serving() {
+    let slo = SimDuration::from_millis(60);
+    let warmup = SimDuration::from_millis(100);
+    let burst = ArrivalProcess::mmpp(
+        40.0,
+        400.0,
+        SimDuration::from_millis(150),
+        SimDuration::from_millis(60),
+    );
+    let base = ServeSpec::new(Platform::orin_nano())
+        .tenant(
+            ServeTenant::parse("resnet50:int8:1:2:1", ArrivalProcess::poisson(150.0))
+                .unwrap()
+                .queue_cap(16),
+        )
+        // Fixed start costs keep both configs independent of which
+        // engines other tests have already cached.
+        .tenant(
+            ServeTenant::parse("mobilenet_v2:fp16:1:2", burst)
+                .unwrap()
+                .autoscale(
+                    AutoscaleSpec::new(0)
+                        .keep_alive(SimDuration::from_millis(40))
+                        .cost(RestartCost::Fixed(SimDuration::from_millis(25))),
+                ),
+        )
+        .gpu_policy(GpuPolicy::Priority {
+            preempt_penalty: SimDuration::from_micros(40),
+        })
+        .slo(slo)
+        .warmup(warmup)
+        .duration(SimDuration::from_millis(900))
+        .seed(21)
+        .resilience(
+            ResiliencePolicies::standard(slo)
+                .hedge(HedgePolicy::fixed(SimDuration::from_millis(15)))
+                .recovery(RecoverySpec::fixed(SimDuration::from_millis(30), 2)),
+        );
+    let plan = FaultPlan::seeded(5, base.horizon(), 6, 2).oom_policy(OomPolicy::KillLargest);
+    let spec = base.faults(plan);
+
+    let config = spec.build_config().unwrap();
+    assert!(
+        !config.record_kernel_events,
+        "serve configs must not record kernel events"
+    );
+    let mut recording = spec.build_config().unwrap();
+    recording.record_kernel_events = true;
+    let off = Simulation::new(config).unwrap().run();
+    let on = Simulation::new(recording).unwrap().run();
+
+    assert!(off.kernel_events.is_empty());
+    assert!(!on.kernel_events.is_empty(), "recording was re-enabled");
+    // The scenario reaches the paths it claims to cover.
+    assert!(!on.preemptions.is_empty(), "priority policy preempts");
+    assert!(!on.fault_events.is_empty(), "seeded faults fire");
+    assert!(
+        on.requests
+            .iter()
+            .any(|r| r.retry_of.is_some() || r.hedge_of.is_some()),
+        "retries or hedges spawn chain members"
+    );
+
+    assert_eq!(off.requests, on.requests);
+    assert_eq!(off.serve_events, on.serve_events);
+    assert_eq!(off.preemptions, on.preemptions);
+    assert_eq!(off.ec_records, on.ec_records);
+    assert_eq!(off.fault_events, on.fault_events);
+    assert_eq!(off.power_samples, on.power_samples);
+    assert_eq!(off.sim_events, on.sim_events);
+
+    let report = |trace| {
+        let r = ServeReport::from_trace_with_deadline(
+            trace,
+            slo,
+            warmup,
+            spec.resilience_policies().deadline,
+        );
+        serde_json::to_string_pretty(&r).unwrap()
+    };
+    assert_eq!(report(&off), report(&on));
+    assert_eq!(
+        serde_json::to_string_pretty(&spec.run().unwrap()).unwrap(),
+        report(&off),
+        "ServeSpec::run reports the unrecorded trace"
     );
 }
