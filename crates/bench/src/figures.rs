@@ -1,8 +1,8 @@
 //! One function per paper table/figure.
 //!
 //! Set `JETSIM_FAST=1` to shrink the measurement windows (used by the
-//! Criterion benches and smoke tests); the default windows match the
-//! paper's long-run methodology scaled to simulation time.
+//! unit tests and CI smoke runs); the default windows match the paper's
+//! long-run methodology scaled to simulation time.
 
 use std::sync::OnceLock;
 

@@ -4,14 +4,16 @@
 //! [`figures`] that reruns the underlying experiment on the simulated
 //! platforms and prints the same rows/series the paper reports. The
 //! `repro` binary is the front door (`repro --list`, `repro fig06_concurrent_orin`);
-//! `repro_all` runs the lot in parallel and writes `results/*.csv` plus
-//! a summary.
+//! `repro --all` runs the lot, figures in parallel, and writes
+//! `results/*.csv` plus a summary. The `bench` binary runs the
+//! simulator's own regression suites through [`gate`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ablations;
 pub mod figures;
+pub mod gate;
 
 use std::path::PathBuf;
 
