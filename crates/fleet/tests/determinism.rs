@@ -233,3 +233,39 @@ spec = "resnet50:int8:1:1"
         .unwrap();
     assert_eq!(from_table, from_flag);
 }
+
+/// FNV-1a of the `FLEET_TOML` report JSON at 4 edge sites (plus the
+/// cloud tier) under each router, in [`RouterPolicy::all`] order —
+/// pinned before the `Ingress` state-machine refactor.
+const ROUTER_REPORT_FNV: &[(&str, u64)] = &[
+    ("round_robin", 0xebe6_7ad2_4534_68b5),
+    ("least_queue", 0x8e31_4092_92bb_177f),
+    ("locality", 0xa056_96d3_269c_a92d),
+    ("offload", 0x63c0_7b96_97d9_9be3),
+];
+
+#[test]
+fn four_site_reports_are_pinned_per_router() {
+    let base = build_fleet_spec(&scenario(FLEET_TOML)).unwrap().sites(4);
+    let got: Vec<(String, u64)> = RouterPolicy::all()
+        .into_iter()
+        .map(|policy| {
+            let report = base.clone().router(policy).run().unwrap();
+            (policy.to_string(), fnv1a(report.to_json().as_bytes()))
+        })
+        .collect();
+    if std::env::var("JETSIM_GOLDEN_CAPTURE").is_ok() {
+        for (name, hash) in &got {
+            println!("    (\"{name}\", 0x{hash:016x}),");
+        }
+        return;
+    }
+    assert_eq!(got.len(), ROUTER_REPORT_FNV.len());
+    for ((name, hash), &(pinned_name, pinned)) in got.iter().zip(ROUTER_REPORT_FNV) {
+        assert_eq!(name, pinned_name, "router order drifted");
+        assert_eq!(
+            *hash, pinned,
+            "{name}: FleetReport diverged (got 0x{hash:016x})"
+        );
+    }
+}

@@ -420,3 +420,550 @@ fn trace_hash_is_reproducible() {
         "different seeds should differ"
     );
 }
+
+// --- request-level golden cells --------------------------------------------
+//
+// The 29 cells above hash processes, EC records, kernel events, power
+// samples and faults, but never the serving side of a run. The cells
+// below pin the request lifecycle itself: every request record, serve
+// event, preemption and group label, on top of the full trace hash. They
+// cover each admission policy, the resilience stack under seeded faults,
+// scale-to-zero with a kill mid-provision, and the non-rr GPU policies.
+//
+// To re-capture (only legitimate when the serving *model* changes):
+//
+// ```text
+// JETSIM_GOLDEN_CAPTURE=1 cargo test -p jetsim-sim --test golden_parity -- --nocapture
+// ```
+
+use std::sync::Arc;
+
+use jetsim_des::ArrivalProcess;
+use jetsim_sim::serving::{
+    AutoscalerPolicy, BreakerMode, BreakerPolicy, DropKind, HedgePolicy, RecoveryPolicy,
+    RetryPolicy, ServeEventKind,
+};
+use jetsim_sim::{AdmissionPolicy, GpuPolicy, OomPolicy, ServeGroup, ServePlan};
+use jetsim_trt::{Engine, EngineBuilder};
+
+impl Fnv {
+    fn opt_usize(&mut self, v: Option<usize>) {
+        match v {
+            None => self.u64(0),
+            Some(v) => {
+                self.u64(1);
+                self.u64(v as u64);
+            }
+        }
+    }
+}
+
+/// [`trace_hash`] extended with every field of the serving records:
+/// `requests`, `serve_events`, `preemptions` and `serve_group_labels`.
+fn request_hash(t: &RunTrace) -> u64 {
+    let mut h = Fnv::new();
+    h.u64(trace_hash(t));
+    h.u64(t.requests.len() as u64);
+    for r in &t.requests {
+        h.u64(r.group as u64);
+        h.u64(r.seq);
+        h.time(r.arrival);
+        h.opt_time(r.dispatched);
+        h.opt_time(r.completed);
+        match r.dropped {
+            None => h.u64(0),
+            Some(d) => {
+                h.u64(1);
+                h.time(d.at);
+                h.u64(match d.kind {
+                    DropKind::Rejected => 1,
+                    DropKind::Shed => 2,
+                    DropKind::DeadlineExpired => 3,
+                    DropKind::Killed => 4,
+                    DropKind::HedgeLoser => 5,
+                    DropKind::BreakerOpen => 6,
+                    // `DropKind` is non_exhaustive; new variants must
+                    // extend this hash (and re-capture) deliberately.
+                    _ => u64::MAX,
+                });
+            }
+        }
+        h.opt_usize(r.pid);
+        h.u64(u64::from(r.batch_size));
+        h.bool(r.degraded);
+        h.u64(u64::from(r.attempt));
+        h.opt_usize(r.retry_of);
+        h.opt_usize(r.hedge_of);
+    }
+    h.u64(t.serve_events.len() as u64);
+    for e in &t.serve_events {
+        h.time(e.time);
+        h.u64(e.group as u64);
+        match &e.kind {
+            ServeEventKind::BatchFormed {
+                pid,
+                size,
+                oldest_wait,
+                queue_depth,
+                degraded,
+            } => {
+                h.u64(1);
+                h.u64(*pid as u64);
+                h.u64(u64::from(*size));
+                h.dur(*oldest_wait);
+                h.u64(*queue_depth as u64);
+                h.bool(*degraded);
+            }
+            ServeEventKind::DegradeEnter { queue_depth } => {
+                h.u64(2);
+                h.u64(*queue_depth as u64);
+            }
+            ServeEventKind::DegradeExit { queue_depth } => {
+                h.u64(3);
+                h.u64(*queue_depth as u64);
+            }
+            ServeEventKind::BreakerTrip { error_rate } => {
+                h.u64(4);
+                h.f64(*error_rate);
+            }
+            ServeEventKind::BreakerHalfOpen => h.u64(5),
+            ServeEventKind::BreakerClose => h.u64(6),
+            ServeEventKind::ReplicaDown {
+                pid,
+                failed_inflight,
+            } => {
+                h.u64(7);
+                h.u64(*pid as u64);
+                h.u64(*failed_inflight as u64);
+            }
+            ServeEventKind::ReplicaUp { pid } => {
+                h.u64(8);
+                h.u64(*pid as u64);
+            }
+            ServeEventKind::ReplicaEjected { pid } => {
+                h.u64(9);
+                h.u64(*pid as u64);
+            }
+            ServeEventKind::ReplicaProvisioned { pid, cold } => {
+                h.u64(10);
+                h.u64(*pid as u64);
+                h.bool(*cold);
+            }
+            ServeEventKind::ReplicaWarmed { pid } => {
+                h.u64(11);
+                h.u64(*pid as u64);
+            }
+            ServeEventKind::ReplicaReaped { pid } => {
+                h.u64(12);
+                h.u64(*pid as u64);
+            }
+            ServeEventKind::ParkedToZero => h.u64(13),
+            // `ServeEventKind` is non_exhaustive; new variants must
+            // extend this hash (and re-capture) deliberately.
+            _ => h.u64(u64::MAX),
+        }
+    }
+    h.u64(t.preemptions.len() as u64);
+    for p in &t.preemptions {
+        h.u64(p.pid as u64);
+        h.u64(p.ec_seq);
+        h.u64(p.kernel_index as u64);
+        h.time(p.start);
+        h.time(p.preempted_at);
+        h.u64(p.by_pid as u64);
+    }
+    h.u64(t.serve_group_labels.len() as u64);
+    for label in &t.serve_group_labels {
+        h.str(label);
+    }
+    h.0
+}
+
+fn serve_engine(
+    device: &jetsim_device::DeviceSpec,
+    model: &jetsim_dnn::ModelGraph,
+    precision: Precision,
+) -> Arc<Engine> {
+    Arc::new(
+        EngineBuilder::new(device)
+            .precision(precision)
+            .batch(1)
+            .build(model)
+            .expect("engine builds"),
+    )
+}
+
+/// One serve group of `replicas` copies of `engine`, shaped by `group`,
+/// run for 600 ms after a 100 ms warmup unless `config` says otherwise.
+#[allow(clippy::too_many_arguments)]
+fn serve_cell(
+    id: &str,
+    device: jetsim_device::DeviceSpec,
+    engine: Arc<Engine>,
+    replicas: usize,
+    arrivals: ArrivalProcess,
+    seed: u64,
+    group: impl FnOnce(ServeGroup) -> ServeGroup,
+    config: impl FnOnce(jetsim_sim::SimConfigBuilder) -> jetsim_sim::SimConfigBuilder,
+) -> Cell {
+    let mut builder = SimConfig::builder(device);
+    for i in 0..replicas {
+        builder = builder.add_engine_named(format!("serve/{i}"), Arc::clone(&engine));
+    }
+    let g = group(ServeGroup::new("serve", arrivals).members(0..replicas));
+    let builder = builder
+        .serve(ServePlan::new().group(g))
+        .warmup(SimDuration::from_millis(100))
+        .measure(SimDuration::from_millis(600))
+        .seed(seed);
+    let config = config(builder).build().expect("fits");
+    Cell {
+        id: id.into(),
+        trace: Simulation::new(config).expect("valid").run(),
+    }
+}
+
+/// Deadline + retry + auto hedge + recovery behind a breaker in `mode`,
+/// under a seeded fault plan whose spikes make the OOM killer take
+/// replicas of a board packed with 20 of them.
+fn resilient_cell(id: &str, mode: BreakerMode, rate: f64, deadline_ms: u64) -> Cell {
+    let device = presets::orin_nano();
+    let engine = serve_engine(&device, &zoo::resnet50(), Precision::Fp16);
+    let degraded = serve_engine(&device, &zoo::resnet50(), Precision::Int8);
+    serve_cell(
+        id,
+        device,
+        engine,
+        20,
+        ArrivalProcess::poisson(rate),
+        17,
+        |g| {
+            g.queue_cap(16)
+                .degraded_engine(degraded)
+                .deadline(SimDuration::from_millis(deadline_ms))
+                .retry(RetryPolicy::new(3, SimDuration::from_millis(5)))
+                .hedge(HedgePolicy::auto())
+                .breaker(
+                    BreakerPolicy::new(32, 0.5)
+                        .cooldown(SimDuration::from_millis(30))
+                        .mode(mode),
+                )
+                .recovery(RecoveryPolicy::new(SimDuration::from_millis(60), 3))
+        },
+        |b| {
+            b.faults(
+                FaultPlan::seeded(2, SimDuration::from_millis(700), 4, 1)
+                    .oom_policy(OomPolicy::KillLargest),
+            )
+        },
+    )
+}
+
+/// Two serve groups at different GPU priorities under `policy`; the
+/// high-priority group is light enough that the low-priority one keeps
+/// reaching the GPU, so a preemptive policy has kernels to cut.
+fn policy_cell(id: &str, policy: GpuPolicy) -> Cell {
+    let device = presets::orin_nano();
+    let resnet = serve_engine(&device, &zoo::resnet50(), Precision::Int8);
+    let yolo = serve_engine(&device, &zoo::yolov8n(), Precision::Fp16);
+    let config = SimConfig::builder(device)
+        .add_engine_named("resnet50/0", Arc::clone(&resnet))
+        .add_engine_named("resnet50/1", resnet)
+        .add_engine_named("yolov8n/0", yolo)
+        .serve(
+            ServePlan::new()
+                .group(
+                    ServeGroup::new("resnet50", ArrivalProcess::poisson(50.0))
+                        .members([0, 1])
+                        .priority(5)
+                        .sm_share(2.0),
+                )
+                .group(ServeGroup::new("yolov8n", ArrivalProcess::poisson(200.0)).members([2])),
+        )
+        .gpu_policy(policy)
+        .warmup(SimDuration::from_millis(100))
+        .measure(SimDuration::from_millis(600))
+        .seed(29)
+        .build()
+        .expect("fits");
+    Cell {
+        id: id.into(),
+        trace: Simulation::new(config).expect("valid").run(),
+    }
+}
+
+/// The request-level grid.
+fn request_cells() -> Vec<Cell> {
+    let orin = presets::orin_nano;
+    let resnet_int8 = || serve_engine(&orin(), &zoo::resnet50(), Precision::Int8);
+    let mut cells = Vec::new();
+    // Admission under overload: one replica, a small queue.
+    for (id, admission) in [
+        ("serve_reject_orin_s3", AdmissionPolicy::Reject),
+        ("serve_shed_orin_s3", AdmissionPolicy::Shed),
+    ] {
+        cells.push(serve_cell(
+            id,
+            orin(),
+            resnet_int8(),
+            1,
+            ArrivalProcess::poisson(3000.0),
+            3,
+            |g| g.queue_cap(8).admission(admission),
+            |b| b,
+        ));
+    }
+    // Degrade: bursts overflow the queue onto the int8 fallback, calm
+    // periods drain it back onto the fp16 engine.
+    let degraded = resnet_int8();
+    cells.push(serve_cell(
+        "serve_degrade_orin_s3",
+        orin(),
+        serve_engine(&orin(), &zoo::resnet50(), Precision::Fp16),
+        1,
+        ArrivalProcess::mmpp(
+            100.0,
+            3000.0,
+            SimDuration::from_millis(80),
+            SimDuration::from_millis(60),
+        ),
+        3,
+        |g| {
+            g.queue_cap(16)
+                .admission(AdmissionPolicy::Degrade)
+                .degraded_engine(degraded)
+        },
+        |b| b,
+    ));
+    // The shed breaker closes again after its probe; the brownout run
+    // is pushed harder so queued requests also expire.
+    cells.push(resilient_cell(
+        "resilient_shed_orin_s17",
+        BreakerMode::Shed,
+        150.0,
+        100,
+    ));
+    cells.push(resilient_cell(
+        "resilient_brownout_orin_s17",
+        BreakerMode::Brownout,
+        200.0,
+        60,
+    ));
+    // Scale-to-zero with an OOM kill mid-provision: the deployment of
+    // `oom_kill_plus_recovery_never_double_provisions` (autoscale.rs)
+    // with the floor at zero, bursty traffic that lets the group park,
+    // and a shorter spike timed to land while replicas provision, so
+    // the restarted replicas come back parked.
+    cells.push(serve_cell(
+        "autoscale_zero_oom_orin_s5",
+        orin(),
+        resnet_int8(),
+        3,
+        ArrivalProcess::mmpp(
+            5.0,
+            800.0,
+            SimDuration::from_millis(150),
+            SimDuration::from_millis(60),
+        ),
+        5,
+        |g| {
+            g.queue_cap(256)
+                .autoscaler(
+                    AutoscalerPolicy::new(0, 3)
+                        .target_queue_per_replica(2.0)
+                        .evaluate_every(SimDuration::from_millis(10))
+                        .keep_alive(SimDuration::from_millis(80))
+                        .start_costs(SimDuration::from_millis(60), SimDuration::from_millis(12)),
+                )
+                .recovery(RecoveryPolicy::new(SimDuration::from_millis(40), 2))
+        },
+        |b| {
+            b.measure(SimDuration::from_millis(1200)).faults(
+                FaultPlan::new()
+                    .memory_spike(
+                        SimTime::from_nanos(440_000_000),
+                        SimDuration::from_millis(30),
+                        7 << 30,
+                    )
+                    .oom_policy(OomPolicy::KillLargest),
+            )
+        },
+    ));
+    cells.push(policy_cell("policy_fifo_orin_s29", GpuPolicy::Fifo));
+    cells.push(policy_cell(
+        "policy_priority_orin_s29",
+        GpuPolicy::Priority {
+            preempt_penalty: GpuPolicy::DEFAULT_PREEMPT_PENALTY,
+        },
+    ));
+    cells.push(policy_cell(
+        "policy_mps_orin_s29",
+        GpuPolicy::FractionalMps {
+            overlap_efficiency: GpuPolicy::DEFAULT_MPS_OVERLAP,
+        },
+    ));
+    cells
+}
+
+/// Captured with `JETSIM_GOLDEN_CAPTURE=1` before the `Ingress`
+/// state-machine refactor; every later change to the serving path must
+/// reproduce these bit for bit.
+const GOLDEN_REQUEST: &[(&str, u64)] = &[
+    ("serve_reject_orin_s3", 0x5eb48d5f6a01e802),
+    ("serve_shed_orin_s3", 0xa5b1486dd6293a8e),
+    ("serve_degrade_orin_s3", 0x97f523c80766b3bb),
+    ("resilient_shed_orin_s17", 0x749be3b8cb6707f1),
+    ("resilient_brownout_orin_s17", 0xfba66f757111db25),
+    ("autoscale_zero_oom_orin_s5", 0xb30610d65e362ba2),
+    ("policy_fifo_orin_s29", 0x2f69a7b2cb16a46a),
+    ("policy_priority_orin_s29", 0x315c5dac44ea1d9a),
+    ("policy_mps_orin_s29", 0x672a85d7400886db),
+];
+
+/// A census of what a request cell exercised: drop kinds, retries,
+/// hedges, degraded dispatches, serve-event kinds, preemptions, and
+/// kills that landed on a replica mid-provision.
+fn census(t: &RunTrace) -> std::collections::BTreeMap<String, usize> {
+    let mut c = std::collections::BTreeMap::new();
+    let mut bump = |key: String| *c.entry(key).or_insert(0usize) += 1;
+    for r in &t.requests {
+        if let Some(d) = r.dropped {
+            bump(format!("drop:{:?}", d.kind));
+        }
+        if r.retry_of.is_some() {
+            bump("retry".into());
+        }
+        if r.hedge_of.is_some() {
+            bump("hedge".into());
+        }
+        if r.degraded {
+            bump("degraded".into());
+        }
+    }
+    let mut provisioning = std::collections::HashSet::new();
+    for e in &t.serve_events {
+        match e.kind {
+            ServeEventKind::ReplicaProvisioned { pid, .. } => {
+                provisioning.insert(pid);
+            }
+            ServeEventKind::ReplicaWarmed { pid } => {
+                provisioning.remove(&pid);
+            }
+            ServeEventKind::ReplicaDown { pid, .. } if provisioning.remove(&pid) => {
+                bump("kill_mid_provision".into());
+            }
+            _ => {}
+        }
+        let name = format!("{:?}", e.kind);
+        let name = name.split([' ', '{']).next().unwrap_or_default();
+        if name != "BatchFormed" {
+            bump(format!("event:{name}"));
+        }
+    }
+    for _ in &t.preemptions {
+        bump("preemption".into());
+    }
+    c
+}
+
+/// What each request cell must reach, so a cell that silently stops
+/// exercising its path fails loudly instead of pinning a quiet trace.
+const REACHES: &[(&str, &[&str])] = &[
+    ("serve_reject_orin_s3", &["drop:Rejected"]),
+    ("serve_shed_orin_s3", &["drop:Shed"]),
+    (
+        "serve_degrade_orin_s3",
+        &["degraded", "event:DegradeEnter", "event:DegradeExit"],
+    ),
+    (
+        "resilient_shed_orin_s17",
+        &[
+            "drop:BreakerOpen",
+            "drop:HedgeLoser",
+            "drop:Killed",
+            "retry",
+            "hedge",
+            "event:BreakerTrip",
+            "event:BreakerHalfOpen",
+            "event:BreakerClose",
+            "event:ReplicaUp",
+            "event:ReplicaEjected",
+        ],
+    ),
+    (
+        "resilient_brownout_orin_s17",
+        &[
+            "degraded",
+            "drop:DeadlineExpired",
+            "drop:HedgeLoser",
+            "drop:Killed",
+            "retry",
+            "hedge",
+            "event:BreakerTrip",
+            "event:BreakerHalfOpen",
+            "event:ReplicaUp",
+            "event:ReplicaEjected",
+        ],
+    ),
+    (
+        "autoscale_zero_oom_orin_s5",
+        &[
+            "kill_mid_provision",
+            "event:ParkedToZero",
+            "event:ReplicaReaped",
+            "event:ReplicaUp",
+        ],
+    ),
+    ("policy_fifo_orin_s29", &[]),
+    ("policy_priority_orin_s29", &["preemption"]),
+    ("policy_mps_orin_s29", &[]),
+];
+
+#[test]
+fn golden_request_parity() {
+    let cells = request_cells();
+    if std::env::var("JETSIM_GOLDEN_CAPTURE").is_ok() {
+        for cell in &cells {
+            println!("{}: {:?}", cell.id, census(&cell.trace));
+        }
+        println!("const GOLDEN_REQUEST: &[(&str, u64)] = &[");
+        for cell in &cells {
+            println!(
+                "    (\"{}\", 0x{:016x}),",
+                cell.id,
+                request_hash(&cell.trace)
+            );
+        }
+        println!("];");
+        return;
+    }
+    assert_eq!(
+        cells.len(),
+        GOLDEN_REQUEST.len(),
+        "grid drifted from the captured table — re-capture deliberately"
+    );
+    let mut failures = Vec::new();
+    for ((cell, &(id, expected)), &(reach_id, reaches)) in
+        cells.iter().zip(GOLDEN_REQUEST).zip(REACHES)
+    {
+        assert_eq!(cell.id, id, "cell order drifted");
+        assert_eq!(cell.id, reach_id, "REACHES order drifted");
+        let census = census(&cell.trace);
+        for key in reaches {
+            if !census.contains_key(*key) {
+                failures.push(format!("{id}: never reached `{key}`"));
+            }
+        }
+        let got = request_hash(&cell.trace);
+        if got != expected {
+            failures.push(format!(
+                "{id}: expected 0x{expected:016x}, got 0x{got:016x}"
+            ));
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "request-level golden parity broken:\n{}",
+        failures.join("\n")
+    );
+}
