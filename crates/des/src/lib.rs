@@ -40,5 +40,5 @@ pub use arrivals::{gaps_from_times, ArrivalProcess, ArrivalStream};
 pub use calendar::CalendarQueue;
 pub use queue::EventQueue;
 pub use rng::{splitmix64, SimRng};
-pub use time::{SimDuration, SimTime};
+pub use time::{nearest_rank, SimDuration, SimTime};
 pub use trace::{TraceBuffer, TraceEvent};

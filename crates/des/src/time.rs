@@ -292,6 +292,13 @@ impl From<SimDuration> for std::time::Duration {
     }
 }
 
+/// Nearest-rank `p`-th percentile (`p` in percent) of an already-sorted
+/// slice; `None` when it is empty.
+pub fn nearest_rank(sorted: &[SimDuration], p: f64) -> Option<SimDuration> {
+    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
+    sorted.get(rank.clamp(1, sorted.len().max(1)) - 1).copied()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -383,5 +390,24 @@ mod tests {
     fn converts_to_std_duration() {
         let std: std::time::Duration = SimDuration::from_micros(3).into();
         assert_eq!(std.as_nanos(), 3_000);
+    }
+
+    #[test]
+    fn percentile_uses_nearest_rank() {
+        let ms: Vec<SimDuration> = (1..=100).map(SimDuration::from_millis).collect();
+        assert_eq!(nearest_rank(&ms, 50.0), Some(SimDuration::from_millis(50)));
+        assert_eq!(nearest_rank(&ms, 95.0), Some(SimDuration::from_millis(95)));
+        assert_eq!(nearest_rank(&ms, 99.0), Some(SimDuration::from_millis(99)));
+        assert_eq!(
+            nearest_rank(&ms, 100.0),
+            Some(SimDuration::from_millis(100))
+        );
+        assert_eq!(nearest_rank(&[], 99.0), None);
+        let one = [SimDuration::from_millis(7)];
+        assert_eq!(nearest_rank(&one, 50.0), Some(one[0]));
+        assert_eq!(nearest_rank(&one, 99.0), Some(one[0]));
+        // The hedge delay's literal 0.95 and 95.0 / 100.0 are the same
+        // f64, so the percent form keeps its rank bit-identical.
+        assert_eq!(95.0_f64 / 100.0, 0.95);
     }
 }

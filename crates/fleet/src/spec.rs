@@ -15,9 +15,9 @@
 //!
 //! 1. **Emission** — each class's aggregate arrivals come from one
 //!    seeded [`ArrivalStream`] materialized up front with
-//!    `times_until(horizon)`; the per-class seed fold matches the
-//!    single-device ingress exactly, so a one-site fleet emits the
-//!    same timeline a standalone run draws.
+//!    `times_until(horizon)`; the per-class seed is the single-device
+//!    ingress's own [`group_seed`], so a one-site fleet emits the same
+//!    timeline a standalone run draws.
 //! 2. **Routing** — the planner walks the merged timeline once,
 //!    sequentially; telemetry snapshots refresh on a fixed period and
 //!    network jitter is a hash of `(seed, request, site, direction)`,
@@ -43,9 +43,10 @@ use std::sync::Mutex;
 
 use jetsim::scenario::ScenarioSpec;
 use jetsim_des::{
-    gaps_from_times, splitmix64, ArrivalProcess, ArrivalStream, SimDuration, SimTime,
+    gaps_from_times, nearest_rank, splitmix64, ArrivalProcess, ArrivalStream, SimDuration, SimTime,
 };
 use jetsim_serve::{build_serve_spec, estimate_capacity, ServeReport, ServeSpec};
+use jetsim_sim::serving::group_seed;
 use jetsim_sim::{RunTrace, SimConfig, Simulation};
 
 use crate::network::{Direction, NetworkModel};
@@ -54,22 +55,6 @@ use crate::router::{FleetView, RouteRequest, RouterPolicy};
 
 /// Default telemetry refresh period (snapshot staleness bound).
 pub const DEFAULT_TELEMETRY_EVERY: SimDuration = SimDuration::from_millis(100);
-
-/// Per-group arrival-seed fold — must match the single-device ingress
-/// (`crates/sim/src/components/ingress.rs`) so a one-site fleet replays
-/// the standalone timeline bit for bit.
-fn class_seed(master: u64, class: usize) -> u64 {
-    master.wrapping_add((class as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-}
-
-/// Nearest-rank percentile over an already-sorted slice, in ms.
-fn percentile_ms(sorted: &[SimDuration], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1].as_millis_f64()
-}
 
 /// A fleet of device sims behind a network and a router.
 #[derive(Debug, Clone)]
@@ -260,7 +245,7 @@ impl FleetSpec {
         let mut emissions: Vec<(SimDuration, usize, u64)> = Vec::new();
         for g in 0..n_classes {
             let process = edge_spec.tenants()[g].arrivals.clone();
-            let mut stream = ArrivalStream::new(process, class_seed(seed, g));
+            let mut stream = ArrivalStream::new(process, group_seed(seed, g));
             for (k, t) in stream.times_until(horizon).into_iter().enumerate() {
                 emissions.push((t, g, k as u64));
             }
@@ -518,9 +503,9 @@ impl FleetSpec {
             slo_ms: slo.as_millis_f64(),
             requests,
             served,
-            p50_ms: percentile_ms(&e2e, 50.0),
-            p95_ms: percentile_ms(&e2e, 95.0),
-            p99_ms: percentile_ms(&e2e, 99.0),
+            p50_ms: nearest_rank(&e2e, 50.0).map_or(0.0, SimDuration::as_millis_f64),
+            p95_ms: nearest_rank(&e2e, 95.0).map_or(0.0, SimDuration::as_millis_f64),
+            p99_ms: nearest_rank(&e2e, 99.0).map_or(0.0, SimDuration::as_millis_f64),
             goodput_qps: if measured_secs > 0.0 {
                 within_slo as f64 / measured_secs
             } else {

@@ -72,8 +72,8 @@ pub use telemetry::{estimate_capacity, queue_depth_timeline, GroupCapacity, Queu
 pub use jetsim_des::{ArrivalProcess, ArrivalStream};
 pub use jetsim_sim::serving::{
     AdmissionPolicy, AutoscalerPolicy, BatchDecision, BatcherPolicy, BreakerMode, BreakerPolicy,
-    DropKind, HedgePolicy, RecoveryPolicy, ReplicaHealth, RequestRecord, RetryPolicy,
-    ScaleDecision, ScaleSignals, ServeEvent, ServeEventKind,
+    DropKind, HedgePolicy, RecoveryPolicy, RequestRecord, RetryPolicy, ScaleDecision, ScaleSignals,
+    ServeEvent, ServeEventKind,
 };
 pub use jetsim_sim::{FaultPlan, OomPolicy};
 

@@ -13,7 +13,7 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
-use jetsim_des::{SimDuration, SimTime};
+use jetsim_des::{nearest_rank, SimDuration, SimTime};
 use jetsim_sim::serving::{DropKind, ServeEventKind};
 use jetsim_sim::RunTrace;
 use serde::Serialize;
@@ -119,15 +119,6 @@ pub struct ServeReport {
     pub slo_ms: f64,
     /// Per-tenant reports, in serve-group order.
     pub groups: Vec<GroupReport>,
-}
-
-/// Nearest-rank percentile over an already-sorted slice, in ms.
-fn percentile_ms(sorted: &[SimDuration], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1].as_millis_f64()
 }
 
 /// Rolled-up outcome of one logical request (chain of attempts).
@@ -412,9 +403,9 @@ impl ServeReport {
                     goodput_qps: per_sec(within_slo),
                     slo_attainment: over_offered(within_slo),
                     deadline_hit_rate: over_offered(within_deadline),
-                    p50_ms: percentile_ms(&latencies, 50.0),
-                    p95_ms: percentile_ms(&latencies, 95.0),
-                    p99_ms: percentile_ms(&latencies, 99.0),
+                    p50_ms: nearest_rank(&latencies, 50.0).map_or(0.0, SimDuration::as_millis_f64),
+                    p95_ms: nearest_rank(&latencies, 95.0).map_or(0.0, SimDuration::as_millis_f64),
+                    p99_ms: nearest_rank(&latencies, 99.0).map_or(0.0, SimDuration::as_millis_f64),
                     mean_queue_wait_ms: if wait_count[g] > 0 {
                         wait_total[g].as_millis_f64() / wait_count[g] as f64
                     } else {
@@ -495,23 +486,5 @@ impl fmt::Display for ServeReport {
             )?;
         }
         Ok(())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn percentile_uses_nearest_rank() {
-        let ms: Vec<SimDuration> = (1..=100).map(SimDuration::from_millis).collect();
-        assert_eq!(percentile_ms(&ms, 50.0), 50.0);
-        assert_eq!(percentile_ms(&ms, 95.0), 95.0);
-        assert_eq!(percentile_ms(&ms, 99.0), 99.0);
-        assert_eq!(percentile_ms(&ms, 100.0), 100.0);
-        assert_eq!(percentile_ms(&[], 99.0), 0.0);
-        let one = [SimDuration::from_millis(7)];
-        assert_eq!(percentile_ms(&one, 50.0), 7.0);
-        assert_eq!(percentile_ms(&one, 99.0), 7.0);
     }
 }

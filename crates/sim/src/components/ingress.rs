@@ -11,6 +11,11 @@
 //! re-enqueueing, which is the entire difference between `trtexec`
 //! saturation and online serving.
 //!
+//! Each server process walks one [`ReplicaState`] machine: it idles in
+//! its group's free list, runs batches, is provisioned, warmed, parked
+//! and reaped by the autoscaler, and is restarted or ejected after an
+//! OOM kill.
+//!
 //! Resilience is strictly opt-in per [`crate::serving::ServeGroup`]: a
 //! group without a deadline/retry/hedge/breaker/recovery policy
 //! schedules none of the new timer events and draws no extra randomness,
@@ -21,13 +26,13 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use jetsim_des::{ArrivalStream, SimRng, SimTime};
+use jetsim_des::{nearest_rank, ArrivalStream, SimDuration, SimRng, SimTime};
 use jetsim_trt::Engine;
 
 use crate::config::SimConfig;
 use crate::serving::{
-    AdmissionPolicy, AutoscalerPolicy, BatchDecision, BatcherPolicy, BreakerMode, BreakerPolicy,
-    DropKind, DropRecord, HedgePolicy, RecoveryPolicy, ReplicaHealth, RetryPolicy, ScaleDecision,
+    group_seed, AdmissionPolicy, AutoscalerPolicy, BatchDecision, BatcherPolicy, Breaker,
+    BreakerGate, DropKind, DropRecord, HedgePolicy, RecoveryPolicy, RetryPolicy, ScaleDecision,
     ScaleSignals, ServeEventKind,
 };
 use crate::soa::{RequestColumns, ServeEventColumns};
@@ -105,20 +110,67 @@ pub(crate) enum IngressEvent {
     },
 }
 
-/// Autoscale lifecycle state of one replica, orthogonal to
-/// [`ReplicaHealth`]: health tracks kills and restarts, scale state
-/// tracks whether the autoscaler currently wants the replica serving.
-/// Every pid in a group without an autoscaler is permanently `Up`.
+/// Lifecycle state of one serve replica.
+///
+/// A replica is alive exactly when it is neither `Restarting` nor
+/// `Ejected`: the memory guard is the only code that kills a process,
+/// and it always reports the kill through [`Ingress::on_replica_killed`].
+/// Replicas outside an autoscaled group only ever hold `Idle`, `Busy`,
+/// `Restarting` and `Ejected`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ScaleState {
-    /// Eligible to serve (the only state non-autoscaled pids ever hold).
-    Up,
+enum ReplicaState {
+    /// Serving-eligible and waiting in its group's free list (once
+    /// [`Ingress::start`] has filled the free lists).
+    Idle,
+    /// Running a dispatched batch.
+    Busy,
     /// Paying the engine build / plan fetch part of a cold start.
     Provisioning,
     /// Paying the plan-load + first-inference warmup.
     Warming,
     /// Scaled down (or never scaled up); invisible to dispatch.
     Parked,
+    /// Killed and waiting out its restart cost; comes back `Parked`
+    /// when `parked`, else `Idle`.
+    Restarting {
+        /// Whether the autoscaler had the replica out of service (parked
+        /// or mid-provision) when it was killed.
+        parked: bool,
+    },
+    /// Killed with no restarts left (or its memory no longer fits); it
+    /// never rejoins.
+    Ejected,
+}
+
+impl ReplicaState {
+    /// Serving capacity the autoscaler counts as up (busy or idle).
+    fn is_up(self) -> bool {
+        matches!(self, ReplicaState::Idle | ReplicaState::Busy)
+    }
+
+    /// Mid cold/warm start.
+    fn is_pending(self) -> bool {
+        matches!(self, ReplicaState::Provisioning | ReplicaState::Warming)
+    }
+
+    /// The process is alive (not killed).
+    fn is_live(self) -> bool {
+        !matches!(
+            self,
+            ReplicaState::Restarting { .. } | ReplicaState::Ejected
+        )
+    }
+}
+
+/// Where a submitted request comes from.
+#[derive(Debug, Clone, Copy)]
+enum Origin {
+    /// A fresh arrival from the group's stream.
+    Arrival,
+    /// The next attempt of failed request `parent`.
+    Retry { parent: usize },
+    /// A duplicate racing in-flight request `primary`.
+    Hedge { primary: usize },
 }
 
 /// Peer components an ingress event may drive: dispatching a batch
@@ -128,17 +180,6 @@ pub(crate) struct IngressDeps<'d> {
     pub sched: &'d mut CpuSched,
     pub gpu: &'d mut GpuEngine,
     pub guard: &'d mut MemoryGuard,
-}
-
-/// Circuit-breaker state of one group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BrState {
-    /// Healthy; outcomes accumulate in the rolling window.
-    Closed,
-    /// Tripped; arrivals are shed (or browned out) until `until`.
-    Open { until: SimTime },
-    /// Cooldown elapsed; `probe` is the single admitted trial request.
-    HalfOpen { probe: Option<usize> },
 }
 
 /// Runtime state of one serve group.
@@ -176,7 +217,7 @@ struct GroupRt {
     /// Per-request ingress delay offsets (see
     /// [`crate::ServeGroup::ingress_offsets`]); absent for the common
     /// undelayed path.
-    offsets: Option<Arc<[jetsim_des::SimDuration]>>,
+    offsets: Option<Arc<[SimDuration]>>,
     /// Stream draws so far — the index into `offsets` for the next gap.
     offset_drawn: u64,
     /// Undelayed emission clock (cumulative gap sum); only advanced when
@@ -184,7 +225,7 @@ struct GroupRt {
     offset_clock: SimTime,
     // --- resilience (all optional; absent policies cost nothing) -------
     /// Queueing deadline.
-    deadline: Option<jetsim_des::SimDuration>,
+    deadline: Option<SimDuration>,
     /// Retry policy.
     retry: Option<RetryPolicy>,
     /// Dedicated backoff-jitter stream (seeded per group from the run
@@ -193,19 +234,11 @@ struct GroupRt {
     /// Hedging policy.
     hedge: Option<HedgePolicy>,
     /// Rolling completed-latency ring feeding the hedge p95.
-    lat_ring: Vec<jetsim_des::SimDuration>,
+    lat_ring: Vec<SimDuration>,
     /// Next overwrite position once the ring is full.
     lat_pos: usize,
-    /// Circuit-breaker policy.
-    breaker: Option<BreakerPolicy>,
-    /// Breaker state machine.
-    br_state: BrState,
-    /// Rolling terminal outcomes (`true` = success), newest at the back.
-    br_window: VecDeque<bool>,
-    /// Failures currently in `br_window`.
-    br_failures: usize,
-    /// Brownout: the open breaker is forcing the degraded engine.
-    br_forced: bool,
+    /// Circuit breaker.
+    breaker: Option<Breaker>,
     /// Replica-recovery policy.
     recovery: Option<RecoveryPolicy>,
     // --- autoscaling (optional; absent policies cost nothing) ----------
@@ -232,18 +265,12 @@ pub(crate) struct Ingress {
     group_of_pid: Vec<Option<usize>>,
     /// Requests currently executing on each pid.
     inflight: Vec<Vec<usize>>,
-    /// Whether each pid currently holds a dispatched batch (guards the
-    /// free list against stale wakeups from a pre-restart life).
-    busy: Vec<bool>,
-    /// Replica health, per pid (always `Up` for closed-loop processes).
-    health: Vec<ReplicaHealth>,
+    /// Replica lifecycle, per pid (`Idle` for closed-loop processes).
+    state: Vec<ReplicaState>,
     /// Restarts consumed, per pid.
     restarts_used: Vec<u32>,
-    /// Autoscale lifecycle, per pid (`Up` for every pid outside an
-    /// autoscaled group).
-    scale: Vec<ScaleState>,
     /// Invalidates stale [`IngressEvent::ScaleUpDone`] timers, per pid.
-    scale_gen: Vec<u32>,
+    start_gen: Vec<u32>,
     /// When each pid last became idle (feeds the keep-alive reaper).
     idle_since: Vec<SimTime>,
     /// Hedge pairing: each member of an unresolved pair maps to its twin.
@@ -269,7 +296,9 @@ impl Component for Ingress {
         mut deps: IngressDeps<'_>,
     ) {
         match ev {
-            IngressEvent::Arrival { group } => self.on_arrival(group as usize, now, ctx, &mut deps),
+            IngressEvent::Arrival { group } => {
+                self.submit(group as usize, Origin::Arrival, now, ctx, &mut deps)
+            }
             IngressEvent::Flush { group, gen } => {
                 let group = group as usize;
                 if self.groups[group].flush_gen == gen {
@@ -281,9 +310,19 @@ impl Component for Ingress {
                 self.on_server_free(pid as usize, now, ctx, &mut deps)
             }
             IngressEvent::Deadline { req } => self.on_deadline(req as usize, now, ctx, &mut deps),
-            IngressEvent::Retry { req } => self.on_retry(req as usize, now, ctx, &mut deps),
+            IngressEvent::Retry { req } => {
+                let parent = req as usize;
+                let g = self.requests.group(parent);
+                self.submit(g, Origin::Retry { parent }, now, ctx, &mut deps);
+            }
             IngressEvent::HedgeFire { req } => {
-                self.on_hedge_fire(req as usize, now, ctx, &mut deps)
+                // Duplicate the primary only while it is in flight and
+                // not already hedged.
+                let primary = req as usize;
+                if self.requests.is_in_flight(primary) && !self.hedge_peer.contains_key(&primary) {
+                    let g = self.requests.group(primary);
+                    self.submit(g, Origin::Hedge { primary }, now, ctx, &mut deps);
+                }
             }
             IngressEvent::RestartDone { pid } => {
                 self.on_restart_done(pid as usize, now, ctx, &mut deps)
@@ -311,17 +350,11 @@ impl Ingress {
                     group_of_pid[pid] = Some(g);
                 }
                 let lead = &config.processes[sg.members[0]];
-                // Per-group arrival seed folded from the run's master
-                // seed, so adding a group never perturbs another group's
-                // traffic (and the main dynamics RNG is untouched).
-                let seed = config
-                    .seed
-                    .wrapping_add((g as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
                 groups.push(GroupRt {
                     members: sg.members.clone(),
                     free: VecDeque::with_capacity(sg.members.len()),
                     queue: VecDeque::with_capacity(sg.queue_cap.min(1 << 16)),
-                    stream: ArrivalStream::new(sg.arrivals.clone(), seed),
+                    stream: ArrivalStream::new(sg.arrivals.clone(), group_seed(config.seed, g)),
                     policy: BatcherPolicy::new(lead.engine.batch(), sg.max_delay),
                     queue_cap: sg.queue_cap,
                     admission: sg.admission,
@@ -339,18 +372,11 @@ impl Ingress {
                     retry: sg.retry,
                     // A distinct stream per group: constructing the RNG
                     // draws nothing, so retry-free groups stay inert.
-                    retry_rng: SimRng::seed_from(
-                        (config.seed ^ RETRY_STREAM)
-                            .wrapping_add((g as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-                    ),
+                    retry_rng: SimRng::seed_from(group_seed(config.seed ^ RETRY_STREAM, g)),
                     hedge: sg.hedge,
                     lat_ring: Vec::new(),
                     lat_pos: 0,
-                    breaker: sg.breaker,
-                    br_state: BrState::Closed,
-                    br_window: VecDeque::new(),
-                    br_failures: 0,
-                    br_forced: false,
+                    breaker: sg.breaker.map(Breaker::new),
                     recovery: sg.recovery,
                     autoscaler: sg.autoscaler,
                     win_arrivals: 0,
@@ -364,11 +390,9 @@ impl Ingress {
             groups,
             group_of_pid,
             inflight: vec![Vec::new(); n],
-            busy: vec![false; n],
-            health: vec![ReplicaHealth::Up; n],
+            state: vec![ReplicaState::Idle; n],
             restarts_used: vec![0; n],
-            scale: vec![ScaleState::Up; n],
-            scale_gen: vec![0; n],
+            start_gen: vec![0; n],
             idle_since: vec![SimTime::ZERO; n],
             hedge_peer: HashMap::new(),
             requests: RequestColumns::default(),
@@ -391,7 +415,10 @@ impl Ingress {
                 .members
                 .iter()
                 .copied()
-                .filter(|&pid| ctx.alive[pid])
+                .filter(|&pid| {
+                    debug_assert_eq!(ctx.alive[pid], self.state[pid].is_live());
+                    self.state[pid].is_live()
+                })
                 .collect();
             match self.groups[g].autoscaler {
                 Some(policy) => {
@@ -410,7 +437,7 @@ impl Ingress {
                         self.groups[g].free.push_back(pid);
                     }
                     for &pid in &alive[initial..] {
-                        self.scale[pid] = ScaleState::Parked;
+                        self.state[pid] = ReplicaState::Parked;
                     }
                     self.groups[g].engine_built = initial > 0;
                     ctx.queue.schedule(
@@ -448,7 +475,7 @@ impl Ingress {
                         let offset = offsets
                             .get(grp.offset_drawn as usize)
                             .copied()
-                            .unwrap_or(jetsim_des::SimDuration::ZERO);
+                            .unwrap_or(SimDuration::ZERO);
                         grp.offset_drawn += 1;
                         grp.offset_clock += gap;
                         (grp.offset_clock + offset).max(now)
@@ -463,11 +490,13 @@ impl Ingress {
         }
     }
 
-    /// A request arrives: record it, run it through the breaker gate and
-    /// admission, dispatch if possible, and schedule the next arrival.
-    fn on_arrival(
+    /// Records a request from `origin` and runs it through admission,
+    /// dispatches if possible and, for a fresh arrival, schedules the
+    /// group's next arrival. Arrivals, retries and hedges all enter here.
+    fn submit(
         &mut self,
         g: usize,
+        origin: Origin,
         now: SimTime,
         ctx: &mut Ctx<'_>,
         deps: &mut IngressDeps<'_>,
@@ -475,33 +504,57 @@ impl Ingress {
         let seq = self.groups[g].seq;
         self.groups[g].seq += 1;
         let ri = self.requests.push_arrival(g, seq, now);
+        match origin {
+            Origin::Arrival => {}
+            Origin::Retry { parent } => {
+                self.requests
+                    .mark_retry(ri, self.requests.attempt(parent) + 1, parent);
+            }
+            Origin::Hedge { primary } => {
+                self.requests.mark_hedge(ri, primary);
+                self.hedge_peer.insert(primary, ri);
+                self.hedge_peer.insert(ri, primary);
+            }
+        }
         self.admit(g, ri, now, ctx);
         self.try_dispatch(g, now, ctx, deps);
-        self.schedule_next_arrival(g, now, ctx);
+        if let Origin::Arrival = origin {
+            self.schedule_next_arrival(g, now, ctx);
+        }
     }
 
     /// Runs one freshly recorded request through the breaker gate and
-    /// the admission policy. Returns `true` when it ended up queued.
-    fn admit(&mut self, g: usize, ri: usize, now: SimTime, ctx: &mut Ctx<'_>) -> bool {
+    /// the admission policy; a request turned away there is dropped (and
+    /// any hedge pairing it formed is undone).
+    fn admit(&mut self, g: usize, ri: usize, now: SimTime, ctx: &mut Ctx<'_>) {
         if self.groups[g].autoscaler.is_some() {
             self.groups[g].win_arrivals += 1;
         }
-        if !self.breaker_gate(g, ri, now) {
-            self.requests.mark_dropped(
-                ri,
-                DropRecord {
-                    at: now,
-                    kind: DropKind::BreakerOpen,
-                },
-            );
-            self.unlink_hedge(ri);
-            return false;
+        if let Some(breaker) = self.groups[g].breaker.as_mut() {
+            match breaker.gate(ri, now) {
+                BreakerGate::Admit => {}
+                BreakerGate::HalfOpen => {
+                    self.serve_events
+                        .push(now, g, ServeEventKind::BreakerHalfOpen);
+                }
+                BreakerGate::Refuse => {
+                    self.requests.mark_dropped(
+                        ri,
+                        DropRecord {
+                            at: now,
+                            kind: DropKind::BreakerOpen,
+                        },
+                    );
+                    self.unlink_hedge(ri);
+                    return;
+                }
+            }
         }
         if self.groups[g].queue.len() >= self.groups[g].queue_cap {
             match self.groups[g].admission {
                 AdmissionPolicy::Reject => {
                     self.drop_request(g, ri, DropKind::Rejected, now, ctx);
-                    return false;
+                    return;
                 }
                 AdmissionPolicy::Shed | AdmissionPolicy::Degrade => {
                     // Freshest-frame discipline: the stalest queued
@@ -553,36 +606,14 @@ impl Ingress {
         // starts a replica immediately — the request pays the start cost
         // instead of waiting out the next evaluation tick.
         self.wake_if_parked(g, now, ctx);
-        true
     }
 
-    /// Live replicas the autoscaler counts as serving capacity (`Up`
-    /// scale state, healthy, alive — busy or idle).
-    fn up_count(&self, g: usize, ctx: &Ctx<'_>) -> u32 {
+    /// Members of group `g` whose state satisfies `pred`.
+    fn count(&self, g: usize, pred: fn(ReplicaState) -> bool) -> u32 {
         self.groups[g]
             .members
             .iter()
-            .filter(|&&pid| {
-                ctx.alive[pid]
-                    && self.health[pid] == ReplicaHealth::Up
-                    && self.scale[pid] == ScaleState::Up
-            })
-            .count() as u32
-    }
-
-    /// Replicas mid cold/warm start.
-    fn pending_count(&self, g: usize, ctx: &Ctx<'_>) -> u32 {
-        self.groups[g]
-            .members
-            .iter()
-            .filter(|&&pid| {
-                ctx.alive[pid]
-                    && self.health[pid] == ReplicaHealth::Up
-                    && matches!(
-                        self.scale[pid],
-                        ScaleState::Provisioning | ScaleState::Warming
-                    )
-            })
+            .filter(|&&pid| pred(self.state[pid]))
             .count() as u32
     }
 
@@ -592,7 +623,7 @@ impl Ingress {
         if self.groups[g].autoscaler.is_none() || self.groups[g].queue.is_empty() {
             return;
         }
-        if self.up_count(g, ctx) == 0 && self.pending_count(g, ctx) == 0 {
+        if self.count(g, |s| s.is_up() || s.is_pending()) == 0 {
             self.provision(g, 1, now, ctx);
         }
     }
@@ -608,18 +639,14 @@ impl Ingress {
             .members
             .iter()
             .copied()
-            .filter(|&pid| {
-                ctx.alive[pid]
-                    && self.health[pid] == ReplicaHealth::Up
-                    && self.scale[pid] == ScaleState::Parked
-            })
+            .filter(|&pid| self.state[pid] == ReplicaState::Parked)
             .take(k as usize)
             .collect();
         for pid in candidates {
             let cold = !self.groups[g].engine_built;
             self.groups[g].engine_built = true;
-            self.scale[pid] = ScaleState::Provisioning;
-            self.scale_gen[pid] = self.scale_gen[pid].wrapping_add(1);
+            self.state[pid] = ReplicaState::Provisioning;
+            self.start_gen[pid] = self.start_gen[pid].wrapping_add(1);
             self.serve_events
                 .push(now, g, ServeEventKind::ReplicaProvisioned { pid, cold });
             // A cold start splits into the build/plan-fetch phase
@@ -628,22 +655,22 @@ impl Ingress {
             let build_phase = if cold {
                 policy.cold_start.saturating_sub(policy.warm_start)
             } else {
-                jetsim_des::SimDuration::ZERO
+                SimDuration::ZERO
             };
             ctx.queue.schedule(
                 now + build_phase,
                 Event::Ingress(IngressEvent::ScaleUpDone {
                     pid: pid as u32,
-                    gen: self.scale_gen[pid],
+                    gen: self.start_gen[pid],
                 }),
             );
         }
     }
 
     /// A provisioning replica finished its current phase: `Provisioning`
-    /// rolls into `Warming` (the plan-load), `Warming` brings it `Up`
-    /// and into the free pool. Stale generations (killed or reaped mid
-    /// start) are ignored.
+    /// rolls into `Warming` (the plan-load), `Warming` brings it `Idle`
+    /// into the free pool. Stale generations (killed mid start) are
+    /// ignored.
     fn on_scale_up_done(
         &mut self,
         pid: usize,
@@ -652,7 +679,7 @@ impl Ingress {
         ctx: &mut Ctx<'_>,
         deps: &mut IngressDeps<'_>,
     ) {
-        if self.scale_gen[pid] != gen || self.health[pid] != ReplicaHealth::Up || !ctx.alive[pid] {
+        if self.start_gen[pid] != gen {
             return;
         }
         let Some(g) = self.group_of_pid[pid] else {
@@ -661,9 +688,9 @@ impl Ingress {
         let Some(policy) = self.groups[g].autoscaler else {
             return;
         };
-        match self.scale[pid] {
-            ScaleState::Provisioning => {
-                self.scale[pid] = ScaleState::Warming;
+        match self.state[pid] {
+            ReplicaState::Provisioning => {
+                self.state[pid] = ReplicaState::Warming;
                 ctx.queue.schedule(
                     now + policy.warm_start,
                     Event::Ingress(IngressEvent::ScaleUpDone {
@@ -672,8 +699,8 @@ impl Ingress {
                     }),
                 );
             }
-            ScaleState::Warming => {
-                self.scale[pid] = ScaleState::Up;
+            ReplicaState::Warming => {
+                self.state[pid] = ReplicaState::Idle;
                 self.serve_events
                     .push(now, g, ServeEventKind::ReplicaWarmed { pid });
                 self.idle_since[pid] = now;
@@ -690,8 +717,8 @@ impl Ingress {
         let Some(policy) = self.groups[g].autoscaler else {
             return;
         };
-        let up = self.up_count(g, ctx);
-        let pending = self.pending_count(g, ctx);
+        let up = self.count(g, ReplicaState::is_up);
+        let pending = self.count(g, ReplicaState::is_pending);
         let window_secs = policy.evaluate_every.as_secs_f64();
         let grp = &mut self.groups[g];
         let arrival_rate = if window_secs > 0.0 {
@@ -729,14 +756,10 @@ impl Ingress {
                         if live <= policy.min_replicas {
                             break;
                         }
-                        let idle = ctx.alive[pid]
-                            && self.health[pid] == ReplicaHealth::Up
-                            && self.scale[pid] == ScaleState::Up
-                            && !self.busy[pid]
+                        let idle = self.state[pid] == ReplicaState::Idle
                             && now.saturating_since(self.idle_since[pid]) >= policy.keep_alive;
                         if idle {
-                            self.scale[pid] = ScaleState::Parked;
-                            self.scale_gen[pid] = self.scale_gen[pid].wrapping_add(1);
+                            self.state[pid] = ReplicaState::Parked;
                             self.groups[g].free.retain(|&p| p != pid);
                             self.serve_events
                                 .push(now, g, ServeEventKind::ReplicaReaped { pid });
@@ -756,36 +779,9 @@ impl Ingress {
         );
     }
 
-    /// Breaker admission gate. Returns `false` when the arrival must be
-    /// dropped with [`DropKind::BreakerOpen`]; on the half-open
-    /// transition the admitted request `ri` becomes the probe.
-    fn breaker_gate(&mut self, g: usize, ri: usize, now: SimTime) -> bool {
-        let Some(policy) = self.groups[g].breaker else {
-            return true;
-        };
-        match self.groups[g].br_state {
-            BrState::Closed => true,
-            BrState::Open { until } => {
-                if now >= until {
-                    self.groups[g].br_state = BrState::HalfOpen { probe: Some(ri) };
-                    self.serve_events
-                        .push(now, g, ServeEventKind::BreakerHalfOpen);
-                    true
-                } else {
-                    policy.mode == BreakerMode::Brownout
-                }
-            }
-            BrState::HalfOpen { probe: None } => {
-                self.groups[g].br_state = BrState::HalfOpen { probe: Some(ri) };
-                true
-            }
-            BrState::HalfOpen { probe: Some(_) } => policy.mode == BreakerMode::Brownout,
-        }
-    }
-
     /// The hedge delay: fixed, or the rolling p95 of completed latencies
     /// (`None` until enough samples have been observed).
-    fn hedge_delay(&self, g: usize, hp: HedgePolicy) -> Option<jetsim_des::SimDuration> {
+    fn hedge_delay(&self, g: usize, hp: HedgePolicy) -> Option<SimDuration> {
         if let Some(delay) = hp.delay {
             return Some(delay);
         }
@@ -795,8 +791,7 @@ impl Ingress {
         }
         let mut sorted = ring.clone();
         sorted.sort_unstable();
-        let rank = ((sorted.len() as f64) * 0.95).ceil() as usize;
-        Some(sorted[rank.clamp(1, sorted.len()) - 1])
+        nearest_rank(&sorted, 95.0)
     }
 
     /// Terminal failure of `ri` for cause `kind`: record the drop, feed
@@ -819,11 +814,10 @@ impl Ingress {
         self.unlink_hedge(ri);
         let exempt = matches!(kind, DropKind::HedgeLoser | DropKind::BreakerOpen);
         if exempt {
-            self.resolve_probe_neutral(g, ri);
+            self.release_probe(g, ri);
             return;
         }
-        self.breaker_record(g, false, now);
-        self.resolve_probe(g, ri, false, now);
+        self.breaker_outcome(g, ri, false, now);
         if !self.requests.is_hedge(ri) {
             self.maybe_retry(g, ri, now, ctx);
         }
@@ -842,30 +836,11 @@ impl Ingress {
         }
         let base = policy.base_backoff_for(next_attempt).as_secs_f64();
         let jittered = self.groups[g].retry_rng.jitter(base, policy.jitter);
-        let backoff = jetsim_des::SimDuration::from_secs_f64(jittered);
+        let backoff = SimDuration::from_secs_f64(jittered);
         ctx.queue.schedule(
             now + backoff,
             Event::Ingress(IngressEvent::Retry { req: ri as u32 }),
         );
-    }
-
-    /// A failed request's backoff elapsed: submit the next attempt as a
-    /// fresh arrival linked to its parent.
-    fn on_retry(
-        &mut self,
-        parent: usize,
-        now: SimTime,
-        ctx: &mut Ctx<'_>,
-        deps: &mut IngressDeps<'_>,
-    ) {
-        let g = self.requests.group(parent);
-        let seq = self.groups[g].seq;
-        self.groups[g].seq += 1;
-        let ri = self.requests.push_arrival(g, seq, now);
-        self.requests
-            .mark_retry(ri, self.requests.attempt(parent) + 1, parent);
-        self.admit(g, ri, now, ctx);
-        self.try_dispatch(g, now, ctx, deps);
     }
 
     /// A request's queueing deadline expired: if it is still waiting in
@@ -884,32 +859,6 @@ impl Ingress {
         let g = self.requests.group(ri);
         self.groups[g].queue.retain(|&q| q != ri);
         self.drop_request(g, ri, DropKind::DeadlineExpired, now, ctx);
-        self.try_dispatch(g, now, ctx, deps);
-    }
-
-    /// A hedged primary's delay elapsed: if it is dispatched but not yet
-    /// completed, submit a duplicate to race it.
-    fn on_hedge_fire(
-        &mut self,
-        primary: usize,
-        now: SimTime,
-        ctx: &mut Ctx<'_>,
-        deps: &mut IngressDeps<'_>,
-    ) {
-        if !self.requests.is_in_flight(primary) || self.hedge_peer.contains_key(&primary) {
-            return;
-        }
-        let g = self.requests.group(primary);
-        let seq = self.groups[g].seq;
-        self.groups[g].seq += 1;
-        let ri = self.requests.push_arrival(g, seq, now);
-        self.requests.mark_hedge(ri, primary);
-        self.hedge_peer.insert(primary, ri);
-        self.hedge_peer.insert(ri, primary);
-        if !self.admit(g, ri, now, ctx) {
-            // The duplicate died at admission; the pair never formed.
-            self.unlink_hedge(ri);
-        }
         self.try_dispatch(g, now, ctx, deps);
     }
 
@@ -937,73 +886,31 @@ impl Ingress {
                     kind: DropKind::HedgeLoser,
                 },
             );
-            self.resolve_probe_neutral(g, peer);
+            self.release_probe(g, peer);
         }
     }
 
-    /// Feeds one terminal outcome into the breaker's rolling window and
-    /// trips it when the error rate crosses the threshold.
-    fn breaker_record(&mut self, g: usize, ok: bool, now: SimTime) {
-        let Some(policy) = self.groups[g].breaker else {
+    /// Feeds terminal outcome `ok` of request `ri` to the group's
+    /// breaker: the rolling window may trip it, and a resolved half-open
+    /// probe closes or re-opens it.
+    fn breaker_outcome(&mut self, g: usize, ri: usize, ok: bool, now: SimTime) {
+        let Some(breaker) = self.groups[g].breaker.as_mut() else {
             return;
         };
-        if self.groups[g].br_state != BrState::Closed {
-            return;
+        if let Some(error_rate) = breaker.record(ok, now) {
+            self.serve_events
+                .push(now, g, ServeEventKind::BreakerTrip { error_rate });
         }
-        let grp = &mut self.groups[g];
-        grp.br_window.push_back(ok);
-        if !ok {
-            grp.br_failures += 1;
-        }
-        while grp.br_window.len() > policy.window {
-            if let Some(old) = grp.br_window.pop_front() {
-                if !old {
-                    grp.br_failures -= 1;
-                }
-            }
-        }
-        if grp.br_window.len() >= policy.min_samples && grp.br_failures > 0 {
-            let error_rate = grp.br_failures as f64 / grp.br_window.len() as f64;
-            if error_rate >= policy.error_threshold {
-                grp.br_state = BrState::Open {
-                    until: now + policy.cooldown,
-                };
-                grp.br_forced = policy.mode == BreakerMode::Brownout;
-                grp.br_window.clear();
-                grp.br_failures = 0;
-                self.serve_events
-                    .push(now, g, ServeEventKind::BreakerTrip { error_rate });
-            }
-        }
-    }
-
-    /// Resolves an outstanding half-open probe: success closes the
-    /// breaker, failure re-opens it for another cooldown.
-    fn resolve_probe(&mut self, g: usize, ri: usize, ok: bool, now: SimTime) {
-        let Some(policy) = self.groups[g].breaker else {
-            return;
-        };
-        if self.groups[g].br_state != (BrState::HalfOpen { probe: Some(ri) }) {
-            return;
-        }
-        if ok {
-            self.groups[g].br_state = BrState::Closed;
-            self.groups[g].br_forced = false;
-            self.groups[g].br_window.clear();
-            self.groups[g].br_failures = 0;
+        if breaker.resolve_probe(ri, ok, now) {
             self.serve_events.push(now, g, ServeEventKind::BreakerClose);
-        } else {
-            self.groups[g].br_state = BrState::Open {
-                until: now + policy.cooldown,
-            };
         }
     }
 
-    /// A probe that ended for an exempt reason (hedge cancellation)
-    /// re-arms the half-open slot instead of deciding the breaker.
-    fn resolve_probe_neutral(&mut self, g: usize, ri: usize) {
-        if self.groups[g].br_state == (BrState::HalfOpen { probe: Some(ri) }) {
-            self.groups[g].br_state = BrState::HalfOpen { probe: None };
+    /// `ri` ended for an exempt reason: if it was the half-open probe,
+    /// the slot re-arms.
+    fn release_probe(&mut self, g: usize, ri: usize) {
+        if let Some(breaker) = self.groups[g].breaker.as_mut() {
+            breaker.release_probe(ri);
         }
     }
 
@@ -1019,7 +926,8 @@ impl Ingress {
         let Some(g) = self.group_of_pid[pid] else {
             return;
         };
-        let was_busy = std::mem::replace(&mut self.busy[pid], false);
+        // A wakeup that raced a kill finds the replica no longer busy.
+        let was_busy = self.state[pid] == ReplicaState::Busy;
         for ri in std::mem::take(&mut self.inflight[pid]) {
             self.requests.mark_completed(ri, now);
             let latency = now.saturating_since(self.requests.arrival(ri));
@@ -1044,15 +952,12 @@ impl Ingress {
                 Some(deadline) => latency <= deadline,
                 None => true,
             };
-            self.breaker_record(g, ok, now);
-            self.resolve_probe(g, ri, ok, now);
+            self.breaker_outcome(g, ri, ok, now);
             self.resolve_hedge_on_complete(g, ri, now);
         }
-        if ctx.alive[pid]
-            && was_busy
-            && self.health[pid] == ReplicaHealth::Up
-            && self.scale[pid] == ScaleState::Up
-        {
+        if was_busy {
+            debug_assert!(ctx.alive[pid]);
+            self.state[pid] = ReplicaState::Idle;
             self.idle_since[pid] = now;
             self.groups[g].free.push_back(pid);
         }
@@ -1077,8 +982,26 @@ impl Ingress {
         let Some(g) = self.group_of_pid[pid] else {
             return;
         };
-        self.busy[pid] = false;
-        self.groups[g].free.retain(|&p| p != pid);
+        // A kill mid cold-start cancels the provision (the stale
+        // `ScaleUpDone` is generation-gated); the replica comes back
+        // parked and the autoscaler re-provisions on its own signals —
+        // recovery restores the *process*, never serving capacity, so
+        // the two supervisors cannot double-provision.
+        let parked = match self.state[pid] {
+            ReplicaState::Idle => {
+                self.groups[g].free.retain(|&p| p != pid);
+                false
+            }
+            ReplicaState::Busy => false,
+            ReplicaState::Provisioning | ReplicaState::Warming => {
+                self.start_gen[pid] = self.start_gen[pid].wrapping_add(1);
+                true
+            }
+            ReplicaState::Parked => true,
+            ReplicaState::Restarting { .. } | ReplicaState::Ejected => {
+                unreachable!("pid {pid} killed twice")
+            }
+        };
         let dead = std::mem::take(&mut self.inflight[pid]);
         let failed_inflight = dead.len();
         for ri in dead {
@@ -1092,29 +1015,30 @@ impl Ingress {
                 failed_inflight,
             },
         );
-        // A kill mid cold-start cancels the provision (the stale
-        // `ScaleUpDone` is generation-gated); the replica returns parked
-        // and the autoscaler re-provisions on its own signals — recovery
-        // restores the *process*, never serving capacity, so the two
-        // supervisors cannot double-provision.
-        if matches!(
-            self.scale[pid],
-            ScaleState::Provisioning | ScaleState::Warming
-        ) {
-            self.scale[pid] = ScaleState::Parked;
-            self.scale_gen[pid] = self.scale_gen[pid].wrapping_add(1);
-        }
+        self.restart_or_eject(g, pid, parked, now, ctx);
+    }
+
+    /// Schedules a restart of killed replica `pid` while its group's
+    /// recovery policy has attempts left, and ejects it otherwise.
+    fn restart_or_eject(
+        &mut self,
+        g: usize,
+        pid: usize,
+        parked: bool,
+        now: SimTime,
+        ctx: &mut Ctx<'_>,
+    ) {
         match self.groups[g].recovery {
             Some(policy) if self.restarts_used[pid] < policy.max_restarts => {
                 self.restarts_used[pid] += 1;
-                self.health[pid] = ReplicaHealth::Restarting;
+                self.state[pid] = ReplicaState::Restarting { parked };
                 ctx.queue.schedule(
                     now + policy.restart_cost,
                     Event::Ingress(IngressEvent::RestartDone { pid: pid as u32 }),
                 );
             }
             _ => {
-                self.health[pid] = ReplicaHealth::Ejected;
+                self.state[pid] = ReplicaState::Ejected;
                 self.serve_events
                     .push(now, g, ServeEventKind::ReplicaEjected { pid });
             }
@@ -1133,49 +1057,38 @@ impl Ingress {
         ctx: &mut Ctx<'_>,
         deps: &mut IngressDeps<'_>,
     ) {
-        if self.health[pid] != ReplicaHealth::Restarting {
+        let ReplicaState::Restarting { parked } = self.state[pid] else {
             return;
-        }
+        };
         let Some(g) = self.group_of_pid[pid] else {
             return;
         };
         if !deps.guard.revival_fits(ctx, pid) {
-            match self.groups[g].recovery {
-                Some(policy) if self.restarts_used[pid] < policy.max_restarts => {
-                    self.restarts_used[pid] += 1;
-                    ctx.queue.schedule(
-                        now + policy.restart_cost,
-                        Event::Ingress(IngressEvent::RestartDone { pid: pid as u32 }),
-                    );
-                }
-                _ => {
-                    self.health[pid] = ReplicaHealth::Ejected;
-                    self.serve_events
-                        .push(now, g, ServeEventKind::ReplicaEjected { pid });
-                }
-            }
+            self.restart_or_eject(g, pid, parked, now, ctx);
             return;
         }
         ctx.alive[pid] = true;
         deps.gpu.clear_ready(pid, ctx);
         let proc = &mut ctx.procs[pid];
         proc.next_launch = 0;
-        proc.cur_launch = jetsim_des::SimDuration::ZERO;
-        proc.cur_blocking = jetsim_des::SimDuration::ZERO;
-        proc.cur_gpu = jetsim_des::SimDuration::ZERO;
+        proc.cur_launch = SimDuration::ZERO;
+        proc.cur_blocking = SimDuration::ZERO;
+        proc.cur_gpu = SimDuration::ZERO;
         // A restarted process comes up with cold caches, and a bumped
         // scheduler generation invalidates any tick from its former life.
         proc.cache_cold = true;
         let gen = proc.cpu.gen.wrapping_add(1);
         proc.cpu = RqThread::new();
         proc.cpu.gen = gen;
-        self.health[pid] = ReplicaHealth::Up;
         self.serve_events
             .push(now, g, ServeEventKind::ReplicaUp { pid });
         // A replica that was parked (or mid-provision) when killed comes
         // back as a healthy *parked* process: the autoscaler, not the
         // supervisor, decides when it serves again.
-        if self.scale[pid] == ScaleState::Up {
+        if parked {
+            self.state[pid] = ReplicaState::Parked;
+        } else {
+            self.state[pid] = ReplicaState::Idle;
             self.idle_since[pid] = now;
             self.groups[g].free.push_back(pid);
             self.try_dispatch(g, now, ctx, deps);
@@ -1191,23 +1104,10 @@ impl Ingress {
         ctx: &mut Ctx<'_>,
         deps: &mut IngressDeps<'_>,
     ) {
-        loop {
-            // Next live free server (members the OOM killer took are
-            // dropped lazily here; restarting/ejected members were
-            // removed eagerly but a stale entry is filtered the same way).
-            let pid = loop {
-                match self.groups[g].free.pop_front() {
-                    Some(p)
-                        if ctx.alive[p]
-                            && self.health[p] == ReplicaHealth::Up
-                            && self.scale[p] == ScaleState::Up =>
-                    {
-                        break p
-                    }
-                    Some(_) => continue,
-                    None => return,
-                }
-            };
+        // Every transition out of `Idle` removes the pid from the free
+        // list, so whatever it holds can serve.
+        while let Some(pid) = self.groups[g].free.pop_front() {
+            debug_assert!(self.state[pid] == ReplicaState::Idle && ctx.alive[pid]);
             let grp = &mut self.groups[g];
             let oldest = grp.queue.front().map(|&ri| self.requests.arrival(ri));
             match grp.policy.decide(now, grp.queue.len(), oldest) {
@@ -1235,7 +1135,8 @@ impl Ingress {
                     // Any pending flush is now stale.
                     grp.flush_gen += 1;
                     grp.flush_at = None;
-                    let degraded = (grp.degraded_mode || grp.br_forced) && grp.degraded.is_some();
+                    let forced = grp.breaker.as_ref().is_some_and(Breaker::forced);
+                    let degraded = (grp.degraded_mode || forced) && grp.degraded.is_some();
                     let engine = if degraded {
                         Arc::clone(grp.degraded.as_ref().expect("checked"))
                     } else {
@@ -1250,7 +1151,7 @@ impl Ingress {
                         self.requests.mark_dispatched(ri, now, pid, k, degraded);
                     }
                     self.inflight[pid] = batch;
-                    self.busy[pid] = true;
+                    self.state[pid] = ReplicaState::Busy;
                     self.serve_events.push(
                         now,
                         g,

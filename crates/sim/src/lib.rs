@@ -59,8 +59,8 @@ pub use error::SimError;
 pub use faults::{FaultEvent, FaultKind, FaultPlan, MemorySpike, OomPolicy, ThrottleLock};
 pub use serving::{
     AdmissionPolicy, AutoscalerPolicy, BatchDecision, BatcherPolicy, BreakerMode, BreakerPolicy,
-    DropKind, DropRecord, HedgePolicy, RecoveryPolicy, ReplicaHealth, RequestRecord, RetryPolicy,
-    ScaleDecision, ScaleSignals, ServeEvent, ServeEventKind, ServeGroup, ServePlan,
+    DropKind, DropRecord, HedgePolicy, RecoveryPolicy, RequestRecord, RetryPolicy, ScaleDecision,
+    ScaleSignals, ServeEvent, ServeEventKind, ServeGroup, ServePlan,
 };
 pub use simulation::Simulation;
 pub use trace::{EcRecord, KernelEvent, KernelPreempted, PowerSample, ProcessStats, RunTrace};

@@ -17,10 +17,20 @@
 //! extra randomness: closed-loop runs stay byte-identical to a simulator
 //! without any serving machinery.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use jetsim_des::{ArrivalProcess, SimDuration, SimTime};
 use jetsim_trt::Engine;
+
+/// Seed of serve group `g`'s arrival stream, folded from the run's
+/// `master` seed so adding a group never perturbs another group's
+/// traffic (and the main dynamics RNG is untouched). The fleet planner
+/// folds its per-class aggregate streams with the same function, which
+/// is what lets a one-site fleet replay a standalone run bit for bit.
+pub fn group_seed(master: u64, g: usize) -> u64 {
+    master.wrapping_add((g as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+}
 
 /// Retry discipline for failed requests: a dropped request (rejected,
 /// shed, expired, or killed with its server) is re-submitted as a fresh
@@ -181,6 +191,149 @@ impl BreakerPolicy {
     pub fn min_samples(mut self, min_samples: usize) -> Self {
         self.min_samples = min_samples.max(1);
         self
+    }
+}
+
+/// What a [`Breaker`] makes of one arrival.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum BreakerGate {
+    /// Admit it; the breaker's state is unchanged or the request took
+    /// a re-armed half-open probe slot.
+    Admit,
+    /// Admit it as the probe: the cooldown just elapsed and the breaker
+    /// went half-open.
+    HalfOpen,
+    /// Drop it with [`DropKind::BreakerOpen`].
+    Refuse,
+}
+
+/// Where a [`Breaker`] stands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum BreakerState {
+    /// Healthy; outcomes accumulate in the rolling window.
+    Closed,
+    /// Tripped; arrivals are shed (or browned out) until `until`.
+    Open { until: SimTime },
+    /// Cooldown elapsed; `probe` is the single admitted trial request.
+    HalfOpen { probe: Option<usize> },
+}
+
+/// The circuit-breaker state machine of one serve group, driven by a
+/// [`BreakerPolicy`]. Requests are identified by their index into the
+/// run's request log; the caller records the serve events the return
+/// values announce.
+#[derive(Debug, Clone)]
+pub(crate) struct Breaker {
+    policy: BreakerPolicy,
+    state: BreakerState,
+    /// Rolling terminal outcomes (`true` = success), newest at the back.
+    window: VecDeque<bool>,
+    /// Failures currently in `window`.
+    failures: usize,
+    /// Brownout: the open breaker is forcing the degraded engine.
+    forced: bool,
+}
+
+impl Breaker {
+    /// A closed breaker with an empty window.
+    pub(crate) fn new(policy: BreakerPolicy) -> Self {
+        Breaker {
+            policy,
+            state: BreakerState::Closed,
+            window: VecDeque::new(),
+            failures: 0,
+            forced: false,
+        }
+    }
+
+    /// `true` while a tripped brownout breaker forces the degraded
+    /// engine.
+    pub(crate) fn forced(&self) -> bool {
+        self.forced
+    }
+
+    /// Admission gate for arrival `ri` at `now`. On the half-open
+    /// transition, or into a re-armed probe slot, `ri` becomes the
+    /// probe.
+    pub(crate) fn gate(&mut self, ri: usize, now: SimTime) -> BreakerGate {
+        let brownout = if self.policy.mode == BreakerMode::Brownout {
+            BreakerGate::Admit
+        } else {
+            BreakerGate::Refuse
+        };
+        match self.state {
+            BreakerState::Closed => BreakerGate::Admit,
+            BreakerState::Open { until } if now >= until => {
+                self.state = BreakerState::HalfOpen { probe: Some(ri) };
+                BreakerGate::HalfOpen
+            }
+            BreakerState::Open { .. } | BreakerState::HalfOpen { probe: Some(_) } => brownout,
+            BreakerState::HalfOpen { probe: None } => {
+                self.state = BreakerState::HalfOpen { probe: Some(ri) };
+                BreakerGate::Admit
+            }
+        }
+    }
+
+    /// Feeds one terminal outcome into the rolling window of a closed
+    /// breaker. Returns the error rate when it trips the breaker open.
+    pub(crate) fn record(&mut self, ok: bool, now: SimTime) -> Option<f64> {
+        if self.state != BreakerState::Closed {
+            return None;
+        }
+        self.window.push_back(ok);
+        if !ok {
+            self.failures += 1;
+        }
+        while self.window.len() > self.policy.window {
+            if self.window.pop_front() == Some(false) {
+                self.failures -= 1;
+            }
+        }
+        if self.window.len() < self.policy.min_samples || self.failures == 0 {
+            return None;
+        }
+        let error_rate = self.failures as f64 / self.window.len() as f64;
+        if error_rate >= self.policy.error_threshold {
+            self.state = BreakerState::Open {
+                until: now + self.policy.cooldown,
+            };
+            self.forced = self.policy.mode == BreakerMode::Brownout;
+            self.window.clear();
+            self.failures = 0;
+            Some(error_rate)
+        } else {
+            None
+        }
+    }
+
+    /// Resolves `ri` if it is the outstanding half-open probe: success
+    /// closes the breaker (returns `true`), failure re-opens it for
+    /// another cooldown.
+    pub(crate) fn resolve_probe(&mut self, ri: usize, ok: bool, now: SimTime) -> bool {
+        if self.state != (BreakerState::HalfOpen { probe: Some(ri) }) {
+            return false;
+        }
+        if ok {
+            self.state = BreakerState::Closed;
+            self.forced = false;
+            self.window.clear();
+            self.failures = 0;
+        } else {
+            self.state = BreakerState::Open {
+                until: now + self.policy.cooldown,
+            };
+        }
+        ok
+    }
+
+    /// A probe that ended for an exempt reason (hedge cancellation,
+    /// breaker shedding) re-arms the half-open slot instead of deciding
+    /// the breaker.
+    pub(crate) fn release_probe(&mut self, ri: usize) {
+        if self.state == (BreakerState::HalfOpen { probe: Some(ri) }) {
+            self.state = BreakerState::HalfOpen { probe: None };
+        }
     }
 }
 
@@ -403,19 +556,6 @@ impl AutoscalerPolicy {
             ScaleDecision::Hold
         }
     }
-}
-
-/// Health state of one serve replica, as routing and admission see it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReplicaHealth {
-    /// Serving (or idle and eligible to serve).
-    #[default]
-    Up,
-    /// Killed and waiting out its restart cost.
-    Restarting,
-    /// Killed with no restarts left (or its memory no longer fits); it
-    /// never rejoins.
-    Ejected,
 }
 
 /// What a serve group does with a new arrival when its queue is full.
@@ -1031,6 +1171,110 @@ mod tests {
         let b = b.mode(BreakerMode::Brownout).min_samples(0);
         assert_eq!(b.mode, BreakerMode::Brownout);
         assert_eq!(b.min_samples, 1, "clamped");
+    }
+
+    const COOLDOWN: SimDuration = SimDuration::from_millis(10);
+
+    /// A breaker over 8 outcomes tripping at 50% once 4 are in.
+    fn breaker(mode: BreakerMode) -> Breaker {
+        Breaker::new(
+            BreakerPolicy::new(8, 0.5)
+                .min_samples(4)
+                .cooldown(COOLDOWN)
+                .mode(mode),
+        )
+    }
+
+    /// Trips `b` with four failures at `t`.
+    fn trip(b: &mut Breaker, t: SimTime) {
+        for _ in 0..3 {
+            assert_eq!(b.record(false, t), None);
+        }
+        assert_eq!(b.record(false, t), Some(1.0));
+    }
+
+    #[test]
+    fn breaker_trips_only_at_min_samples_and_threshold() {
+        let t = SimTime::from_nanos(1_000);
+        let mut b = breaker(BreakerMode::Shed);
+        for ok in [true, true, false, true] {
+            assert_eq!(b.record(ok, t), None, "25% stays closed");
+        }
+        assert_eq!(b.record(false, t), None, "2/5 = 40% stays closed");
+        assert_eq!(b.record(false, t), Some(0.5), "3/6 reaches the threshold");
+        assert_eq!(b.gate(0, t), BreakerGate::Refuse);
+        assert_eq!(b.record(false, t), None, "an open breaker ignores outcomes");
+
+        let mut fresh = breaker(BreakerMode::Shed);
+        trip(&mut fresh, t);
+        assert!(
+            !fresh.forced(),
+            "shed mode never forces the degraded engine"
+        );
+    }
+
+    #[test]
+    fn breaker_successful_probe_closes() {
+        let t0 = SimTime::from_nanos(1_000);
+        let mut b = breaker(BreakerMode::Shed);
+        trip(&mut b, t0);
+        assert_eq!(b.gate(1, t0 + COOLDOWN / 2), BreakerGate::Refuse);
+        assert_eq!(b.gate(2, t0 + COOLDOWN), BreakerGate::HalfOpen);
+        assert_eq!(
+            b.gate(3, t0 + COOLDOWN),
+            BreakerGate::Refuse,
+            "one probe at a time"
+        );
+        assert!(!b.resolve_probe(3, true, t0 + COOLDOWN), "not the probe");
+        assert!(b.resolve_probe(2, true, t0 + COOLDOWN));
+        assert_eq!(b.gate(4, t0 + COOLDOWN), BreakerGate::Admit);
+        assert_eq!(
+            b.record(false, t0 + COOLDOWN),
+            None,
+            "window restarts empty"
+        );
+    }
+
+    #[test]
+    fn breaker_failed_probe_reopens() {
+        let t0 = SimTime::from_nanos(1_000);
+        let t1 = t0 + COOLDOWN;
+        let mut b = breaker(BreakerMode::Shed);
+        trip(&mut b, t0);
+        assert_eq!(b.gate(1, t1), BreakerGate::HalfOpen);
+        assert!(!b.resolve_probe(1, false, t1));
+        assert_eq!(b.gate(2, t1 + COOLDOWN / 2), BreakerGate::Refuse);
+        assert_eq!(b.gate(3, t1 + COOLDOWN), BreakerGate::HalfOpen);
+    }
+
+    #[test]
+    fn breaker_hedge_loser_probe_rearms_the_slot() {
+        let t0 = SimTime::from_nanos(1_000);
+        let t1 = t0 + COOLDOWN;
+        let mut b = breaker(BreakerMode::Shed);
+        trip(&mut b, t0);
+        assert_eq!(b.gate(1, t1), BreakerGate::HalfOpen);
+        b.release_probe(7);
+        assert_eq!(b.gate(2, t1), BreakerGate::Refuse, "only the probe re-arms");
+        b.release_probe(1);
+        assert_eq!(b.gate(2, t1), BreakerGate::Admit, "the next arrival probes");
+        assert!(b.resolve_probe(2, true, t1));
+    }
+
+    #[test]
+    fn brownout_breaker_admits_while_open() {
+        let t0 = SimTime::from_nanos(1_000);
+        let mut b = breaker(BreakerMode::Brownout);
+        trip(&mut b, t0);
+        assert!(b.forced(), "brownout forces the degraded engine");
+        assert_eq!(b.gate(1, t0), BreakerGate::Admit);
+        assert_eq!(b.gate(2, t0 + COOLDOWN), BreakerGate::HalfOpen);
+        assert_eq!(b.gate(3, t0 + COOLDOWN), BreakerGate::Admit);
+        assert!(!b.resolve_probe(2, false, t0 + COOLDOWN));
+        assert!(b.forced(), "a failed probe keeps the brownout");
+        assert_eq!(b.gate(4, t0 + COOLDOWN * 2), BreakerGate::HalfOpen);
+        assert!(b.resolve_probe(4, true, t0 + COOLDOWN * 2));
+        assert!(!b.forced());
     }
 
     #[test]
