@@ -1057,41 +1057,10 @@ pub fn all() -> Vec<FigureResult> {
 /// cache, so e.g. figures 6, 8 and 11 compile each `(model, int8,
 /// batch)` engine exactly once between them.
 pub fn all_parallel() -> Vec<FigureResult> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    let harnesses = harnesses();
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
-        .unwrap_or(4)
-        .min(harnesses.len());
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<FigureResult>> = Vec::new();
-    slots.resize_with(harnesses.len(), || None);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut done: Vec<(usize, FigureResult)> = Vec::new();
-                    loop {
-                        let index = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&harness) = harnesses.get(index) else {
-                            break;
-                        };
-                        done.push((index, harness()));
-                    }
-                    done
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (index, result) in handle.join().expect("figure worker panicked") {
-                slots[index] = Some(result);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every harness ran"))
-        .collect()
+        .unwrap_or(4);
+    jetsim::par_map(harnesses(), workers, |harness| harness())
 }
 
 #[cfg(test)]

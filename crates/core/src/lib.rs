@@ -45,6 +45,7 @@
 pub mod analysis;
 pub mod deployment;
 pub mod observations;
+mod par;
 pub mod plan;
 pub mod platform;
 pub mod profiler;
@@ -54,6 +55,7 @@ pub mod sweep;
 
 pub use analysis::{Bottleneck, BottleneckReport};
 pub use deployment::{Deployment, DeploymentError, Tenant, TenantMetrics};
+pub use par::par_map;
 pub use platform::Platform;
 pub use profiler::{DualPhaseProfiler, WorkloadProfile};
 pub use scenario::{AutoscaleScenario, FleetScenario, ScenarioSpec, TenantScenario};

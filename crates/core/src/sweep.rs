@@ -3,7 +3,6 @@
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use serde::Serialize;
@@ -221,7 +220,7 @@ impl SweepSpec {
     /// each cell's seed depends only on its `(precision, batch,
     /// processes)` coordinates, never on which thread ran it.
     pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers.max(1));
+        self.workers = Some(workers);
         self
     }
 
@@ -240,13 +239,10 @@ impl SweepSpec {
     /// [`CellOutcome::OutOfMemory`] instead of aborting the sweep — the
     /// paper hit exactly such cells (§6.2.1).
     ///
-    /// Dispatch is a lock-free `fetch_add` over the flattened grid: each
-    /// worker claims the next cell index, runs it, and keeps the result
-    /// in a thread-local vector; results are merged back into grid order
-    /// after the scope joins, so no worker ever blocks on a results
-    /// mutex. The output is deterministic — identical whatever the
-    /// worker count, and identical whether the process-wide engine
-    /// cache is cold or warm.
+    /// Cells run through [`crate::par_map`], which hands each worker the
+    /// next cell and returns results in grid order. The output is
+    /// deterministic — identical whatever the worker count, and
+    /// identical whether the process-wide engine cache is cold or warm.
     pub fn run(&self, platform: &Platform, model: &ModelGraph) -> Vec<SweepCell> {
         self.run_supervised(platform, model, &SupervisorPolicy::default())
     }
@@ -282,47 +278,20 @@ impl SweepSpec {
                 }
             }
         }
-        let workers = self
-            .workers
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(4)
-            })
-            .min(params.len().max(1));
-        let next = AtomicUsize::new(0);
-        let mut slots: Vec<Option<SweepCell>> = vec![None; params.len()];
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut done: Vec<(usize, SweepCell)> = Vec::new();
-                        loop {
-                            let index = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(&(precision, batch, procs, load, gpu_policy)) =
-                                params.get(index)
-                            else {
-                                break;
-                            };
-                            let cell = self.run_cell(
-                                platform, model, precision, batch, procs, load, gpu_policy, policy,
-                            );
-                            done.push((index, cell));
-                        }
-                        done
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (index, cell) in handle.join().expect("sweep worker panicked") {
-                    slots[index] = Some(cell);
-                }
-            }
+        let workers = self.workers.unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(4)
         });
-        let mut cells: Vec<SweepCell> = slots
-            .into_iter()
-            .map(|slot| slot.expect("every cell dispatched exactly once"))
-            .collect();
+        let mut cells = crate::par_map(
+            params,
+            workers,
+            |(precision, batch, procs, load, gpu_policy)| {
+                self.run_cell(
+                    platform, model, precision, batch, procs, load, gpu_policy, policy,
+                )
+            },
+        );
         cells.sort_by_key(|c| (c.precision, c.batch, c.processes));
         cells
     }

@@ -38,16 +38,13 @@
 //! Same spec + seed ⇒ byte-identical [`FleetReport`] at any
 //! `--workers`.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
 use jetsim::scenario::ScenarioSpec;
 use jetsim_des::{
     gaps_from_times, nearest_rank, splitmix64, ArrivalProcess, ArrivalStream, SimDuration, SimTime,
 };
 use jetsim_serve::{build_serve_spec, estimate_capacity, ServeReport, ServeSpec};
 use jetsim_sim::serving::group_seed;
-use jetsim_sim::{RunTrace, SimConfig, Simulation};
+use jetsim_sim::{RunTrace, Simulation};
 
 use crate::network::{Direction, NetworkModel};
 use crate::report::{FleetReport, SiteReport};
@@ -385,55 +382,18 @@ impl FleetSpec {
             configs.push(spec.build_config().map_err(|e| e.to_string())?);
         }
 
-        let workers = self
-            .workers
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(4)
-            })
-            .clamp(1, total_sites.max(1));
-        let next = AtomicUsize::new(0);
-        let config_slots: Vec<Mutex<Option<SimConfig>>> =
-            configs.into_iter().map(|c| Mutex::new(Some(c))).collect();
-        let mut slots: Vec<Option<Result<SiteRun, String>>> = Vec::new();
-        slots.resize_with(total_sites, || None);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut done: Vec<(usize, Result<SiteRun, String>)> = Vec::new();
-                        loop {
-                            let index = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(slot) = config_slots.get(index) else {
-                                break;
-                            };
-                            let config = slot
-                                .lock()
-                                .expect("config slot lock")
-                                .take()
-                                .expect("every site config taken exactly once");
-                            let run = Simulation::new(config)
-                                .map(|sim| {
-                                    SiteRun::fold(&sim.run(), n_classes, slo, warmup, deadline)
-                                })
-                                .map_err(|e| e.to_string());
-                            done.push((index, run));
-                        }
-                        done
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (index, run) in handle.join().expect("fleet worker panicked") {
-                    slots[index] = Some(run);
-                }
-            }
+        let workers = self.workers.unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(4)
         });
-        let runs: Vec<SiteRun> = slots
-            .into_iter()
-            .map(|slot| slot.expect("every site dispatched exactly once"))
-            .collect::<Result<_, _>>()?;
+        let runs: Vec<SiteRun> = jetsim::par_map(configs, workers, |config| {
+            Simulation::new(config)
+                .map(|sim| SiteRun::fold(&sim.run(), n_classes, slo, warmup, deadline))
+                .map_err(|e| e.to_string())
+        })
+        .into_iter()
+        .collect::<Result<_, _>>()?;
 
         // 4. Aggregation: match each site's k-th root request of class
         // g with the k-th decision routed to (site, g) — arrival order

@@ -207,19 +207,6 @@ impl ServeTenant {
         Ok(ServeTenant::new(Tenant::parse(spec)?, arrivals))
     }
 
-    /// Former name of [`ServeTenant::parse`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DeploymentError`] from [`Tenant::parse`].
-    #[deprecated(since = "0.3.0", note = "use `ServeTenant::parse(spec, arrivals)`")]
-    pub fn parse_with_arrivals(
-        spec: &str,
-        arrivals: ArrivalProcess,
-    ) -> Result<Self, DeploymentError> {
-        Self::parse(spec, arrivals)
-    }
-
     /// Sets the batcher's flush deadline.
     pub fn max_delay(mut self, max_delay: SimDuration) -> Self {
         self.max_delay = max_delay;
@@ -701,15 +688,5 @@ mod tests {
         assert_eq!(fixed.cold_start, SimDuration::from_millis(33));
         assert_eq!(fixed.warm_start, SimDuration::from_millis(33));
         assert_eq!(fixed.slo_target, Some(slo));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_parse_with_arrivals_shim_matches_parse() {
-        let arrivals = ArrivalProcess::poisson(80.0);
-        let old = ServeTenant::parse_with_arrivals("resnet50:int8:1:2", arrivals.clone()).unwrap();
-        let new = ServeTenant::parse("resnet50:int8:1:2", arrivals).unwrap();
-        assert_eq!(old.tenant.label(), new.tenant.label());
-        assert_eq!(old.tenant.instances(), new.tenant.instances());
     }
 }
