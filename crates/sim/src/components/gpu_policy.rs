@@ -13,7 +13,8 @@
 //! * [`PriorityPreemptive`] — strict priority levels with in-flight
 //!   kernel cancellation (see `GpuEngine::maybe_preempt`);
 //! * [`FractionalMps`] — per-process SM shares with weighted overlap
-//!   packing, generalising [`GpuSharing::SpatialMps`].
+//!   packing; a separate model from [`GpuSharing::SpatialMps`], not a
+//!   generalisation of it.
 //!
 //! Policies decide *who* runs and *how* kernels pack; the physics —
 //! kernel timing, context-switch costs, power accrual, tracing — stays
@@ -343,9 +344,13 @@ impl GpuSchedPolicy for PriorityPreemptive {
 /// shrunk by the overlap efficiency weighted by the share mass of the
 /// *other* ready processes — a process holding most of the SMs leaves
 /// little room for co-scheduling and packs poorly; a small-share tenant
-/// overlaps almost fully. Generalises [`GpuSharing::SpatialMps`], which
-/// this reproduces when every share is equal and exactly one other
-/// process waits.
+/// overlaps almost fully.
+///
+/// It does not reproduce [`GpuSharing::SpatialMps`] in any
+/// configuration. With equal shares and one other process waiting, it
+/// hides `overlap · ½` of a kernel where `SpatialMps` hides `overlap`;
+/// and its pick always rotates, where `SpatialMps` keeps the
+/// timeslice affinity of the configured pick.
 #[derive(Debug)]
 pub(crate) struct FractionalMps {
     overlap_efficiency: f64,

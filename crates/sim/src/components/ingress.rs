@@ -142,26 +142,6 @@ enum ReplicaState {
     Ejected,
 }
 
-impl ReplicaState {
-    /// Serving capacity the autoscaler counts as up (busy or idle).
-    fn is_up(self) -> bool {
-        matches!(self, ReplicaState::Idle | ReplicaState::Busy)
-    }
-
-    /// Mid cold/warm start.
-    fn is_pending(self) -> bool {
-        matches!(self, ReplicaState::Provisioning | ReplicaState::Warming)
-    }
-
-    /// The process is alive (not killed).
-    fn is_live(self) -> bool {
-        !matches!(
-            self,
-            ReplicaState::Restarting { .. } | ReplicaState::Ejected
-        )
-    }
-}
-
 /// Where a submitted request comes from.
 #[derive(Debug, Clone, Copy)]
 enum Origin {
@@ -415,9 +395,11 @@ impl Ingress {
                 .members
                 .iter()
                 .copied()
+                // Before the first dispatch a member is `Idle` unless the
+                // start-of-run OOM pass killed it.
                 .filter(|&pid| {
-                    debug_assert_eq!(ctx.alive[pid], self.state[pid].is_live());
-                    self.state[pid].is_live()
+                    debug_assert_eq!(ctx.alive[pid], self.state[pid] == ReplicaState::Idle);
+                    self.state[pid] == ReplicaState::Idle
                 })
                 .collect();
             match self.groups[g].autoscaler {
@@ -538,14 +520,7 @@ impl Ingress {
                         .push(now, g, ServeEventKind::BreakerHalfOpen);
                 }
                 BreakerGate::Refuse => {
-                    self.requests.mark_dropped(
-                        ri,
-                        DropRecord {
-                            at: now,
-                            kind: DropKind::BreakerOpen,
-                        },
-                    );
-                    self.unlink_hedge(ri);
+                    self.drop_request(g, ri, DropKind::BreakerOpen, now, ctx);
                     return;
                 }
             }
@@ -608,13 +583,18 @@ impl Ingress {
         self.wake_if_parked(g, now, ctx);
     }
 
-    /// Members of group `g` whose state satisfies `pred`.
-    fn count(&self, g: usize, pred: fn(ReplicaState) -> bool) -> u32 {
-        self.groups[g]
-            .members
-            .iter()
-            .filter(|&&pid| pred(self.state[pid]))
-            .count() as u32
+    /// Group `g`'s replicas the autoscaler counts as up (idle or busy)
+    /// and as pending (mid cold/warm start).
+    fn capacity(&self, g: usize) -> (u32, u32) {
+        let (mut up, mut pending) = (0, 0);
+        for &pid in &self.groups[g].members {
+            match self.state[pid] {
+                ReplicaState::Idle | ReplicaState::Busy => up += 1,
+                ReplicaState::Provisioning | ReplicaState::Warming => pending += 1,
+                _ => {}
+            }
+        }
+        (up, pending)
     }
 
     /// Starts one parked replica if the group is autoscaled, has queued
@@ -623,7 +603,7 @@ impl Ingress {
         if self.groups[g].autoscaler.is_none() || self.groups[g].queue.is_empty() {
             return;
         }
-        if self.count(g, |s| s.is_up() || s.is_pending()) == 0 {
+        if self.capacity(g) == (0, 0) {
             self.provision(g, 1, now, ctx);
         }
     }
@@ -717,8 +697,7 @@ impl Ingress {
         let Some(policy) = self.groups[g].autoscaler else {
             return;
         };
-        let up = self.count(g, ReplicaState::is_up);
-        let pending = self.count(g, ReplicaState::is_pending);
+        let (up, pending) = self.capacity(g);
         let window_secs = policy.evaluate_every.as_secs_f64();
         let grp = &mut self.groups[g];
         let arrival_rate = if window_secs > 0.0 {
@@ -812,9 +791,11 @@ impl Ingress {
     ) {
         self.requests.mark_dropped(ri, DropRecord { at: now, kind });
         self.unlink_hedge(ri);
-        let exempt = matches!(kind, DropKind::HedgeLoser | DropKind::BreakerOpen);
-        if exempt {
-            self.release_probe(g, ri);
+        if matches!(kind, DropKind::HedgeLoser | DropKind::BreakerOpen) {
+            // An exempt end of the half-open probe re-arms its slot.
+            if let Some(breaker) = self.groups[g].breaker.as_mut() {
+                breaker.release_probe(ri);
+            }
             return;
         }
         self.breaker_outcome(g, ri, false, now);
@@ -872,21 +853,20 @@ impl Ingress {
     /// `winner` completed: cancel its still-queued twin, if the pair is
     /// still live. A twin already in flight completes naturally and is
     /// deduplicated by the report's logical-request accounting.
-    fn resolve_hedge_on_complete(&mut self, g: usize, winner: usize, now: SimTime) {
+    fn resolve_hedge_on_complete(
+        &mut self,
+        g: usize,
+        winner: usize,
+        now: SimTime,
+        ctx: &mut Ctx<'_>,
+    ) {
         let Some(peer) = self.hedge_peer.remove(&winner) else {
             return;
         };
         self.hedge_peer.remove(&peer);
         if self.requests.is_queued(peer) {
             self.groups[g].queue.retain(|&q| q != peer);
-            self.requests.mark_dropped(
-                peer,
-                DropRecord {
-                    at: now,
-                    kind: DropKind::HedgeLoser,
-                },
-            );
-            self.release_probe(g, peer);
+            self.drop_request(g, peer, DropKind::HedgeLoser, now, ctx);
         }
     }
 
@@ -903,14 +883,6 @@ impl Ingress {
         }
         if breaker.resolve_probe(ri, ok, now) {
             self.serve_events.push(now, g, ServeEventKind::BreakerClose);
-        }
-    }
-
-    /// `ri` ended for an exempt reason: if it was the half-open probe,
-    /// the slot re-arms.
-    fn release_probe(&mut self, g: usize, ri: usize) {
-        if let Some(breaker) = self.groups[g].breaker.as_mut() {
-            breaker.release_probe(ri);
         }
     }
 
@@ -948,12 +920,9 @@ impl Ingress {
             }
             // A completion that missed the group's deadline is a success
             // for the requester *only* if no deadline was promised.
-            let ok = match self.groups[g].deadline {
-                Some(deadline) => latency <= deadline,
-                None => true,
-            };
+            let ok = self.groups[g].deadline.is_none_or(|d| latency <= d);
             self.breaker_outcome(g, ri, ok, now);
-            self.resolve_hedge_on_complete(g, ri, now);
+            self.resolve_hedge_on_complete(g, ri, now, ctx);
         }
         if was_busy {
             debug_assert!(ctx.alive[pid]);
@@ -1136,12 +1105,12 @@ impl Ingress {
                     grp.flush_gen += 1;
                     grp.flush_at = None;
                     let forced = grp.breaker.as_ref().is_some_and(Breaker::forced);
-                    let degraded = (grp.degraded_mode || forced) && grp.degraded.is_some();
-                    let engine = if degraded {
-                        Arc::clone(grp.degraded.as_ref().expect("checked"))
-                    } else {
-                        Arc::clone(&grp.normal)
-                    };
+                    let fallback = grp
+                        .degraded
+                        .as_ref()
+                        .filter(|_| grp.degraded_mode || forced);
+                    let degraded = fallback.is_some();
+                    let engine = Arc::clone(fallback.unwrap_or(&grp.normal));
                     let oldest = oldest.expect("dispatch implies a queued request");
                     let batch: Vec<usize> = (0..k)
                         .map(|_| grp.queue.pop_front().expect("decide bounded by queue"))

@@ -64,8 +64,12 @@ pub enum GpuPolicy {
         preempt_penalty: SimDuration,
     },
     /// MPS-style fractional spatial sharing with per-process SM shares
-    /// (set via [`SimConfigBuilder::process_sm_share`]); generalises
-    /// [`GpuSharing::SpatialMps`].
+    /// (set via [`SimConfigBuilder::process_sm_share`]). A separate
+    /// model from [`GpuSharing::SpatialMps`]: its hidden fraction is
+    /// scaled by the other ready processes' share of the SMs (half of
+    /// `overlap_efficiency` with equal shares and one other process
+    /// waiting), and its pick always rotates, with no timeslice
+    /// affinity.
     FractionalMps {
         /// Peak fraction of a kernel's time hidden by co-scheduling,
         /// scaled by the contending processes' share mass. Must lie in

@@ -197,11 +197,9 @@ impl BreakerPolicy {
 /// What a [`Breaker`] makes of one arrival.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum BreakerGate {
-    /// Admit it; the breaker's state is unchanged or the request took
-    /// a re-armed half-open probe slot.
+    /// Admit it.
     Admit,
-    /// Admit it as the probe: the cooldown just elapsed and the breaker
-    /// went half-open.
+    /// Admit it as the probe: the cooldown just elapsed.
     HalfOpen,
     /// Drop it with [`DropKind::BreakerOpen`].
     Refuse,
@@ -218,10 +216,9 @@ enum BreakerState {
     HalfOpen { probe: Option<usize> },
 }
 
-/// The circuit-breaker state machine of one serve group, driven by a
-/// [`BreakerPolicy`]. Requests are identified by their index into the
-/// run's request log; the caller records the serve events the return
-/// values announce.
+/// The circuit-breaker state machine of one serve group. Requests are
+/// indices into the run's request log; the caller records the serve
+/// events the return values announce.
 #[derive(Debug, Clone)]
 pub(crate) struct Breaker {
     policy: BreakerPolicy,
@@ -235,7 +232,6 @@ pub(crate) struct Breaker {
 }
 
 impl Breaker {
-    /// A closed breaker with an empty window.
     pub(crate) fn new(policy: BreakerPolicy) -> Self {
         Breaker {
             policy,
@@ -252,43 +248,34 @@ impl Breaker {
         self.forced
     }
 
-    /// Admission gate for arrival `ri` at `now`. On the half-open
-    /// transition, or into a re-armed probe slot, `ri` becomes the
-    /// probe.
+    /// Admission gate for arrival `ri`; a request admitted half-open
+    /// becomes the probe.
     pub(crate) fn gate(&mut self, ri: usize, now: SimTime) -> BreakerGate {
-        let brownout = if self.policy.mode == BreakerMode::Brownout {
-            BreakerGate::Admit
-        } else {
-            BreakerGate::Refuse
-        };
         match self.state {
             BreakerState::Closed => BreakerGate::Admit,
             BreakerState::Open { until } if now >= until => {
                 self.state = BreakerState::HalfOpen { probe: Some(ri) };
                 BreakerGate::HalfOpen
             }
-            BreakerState::Open { .. } | BreakerState::HalfOpen { probe: Some(_) } => brownout,
             BreakerState::HalfOpen { probe: None } => {
                 self.state = BreakerState::HalfOpen { probe: Some(ri) };
                 BreakerGate::Admit
             }
+            _ if self.policy.mode == BreakerMode::Brownout => BreakerGate::Admit,
+            _ => BreakerGate::Refuse,
         }
     }
 
-    /// Feeds one terminal outcome into the rolling window of a closed
-    /// breaker. Returns the error rate when it trips the breaker open.
+    /// Feeds one terminal outcome into a closed breaker's window.
+    /// Returns the error rate when it trips the breaker open.
     pub(crate) fn record(&mut self, ok: bool, now: SimTime) -> Option<f64> {
         if self.state != BreakerState::Closed {
             return None;
         }
         self.window.push_back(ok);
-        if !ok {
-            self.failures += 1;
-        }
+        self.failures += usize::from(!ok);
         while self.window.len() > self.policy.window {
-            if self.window.pop_front() == Some(false) {
-                self.failures -= 1;
-            }
+            self.failures -= usize::from(self.window.pop_front() == Some(false));
         }
         if self.window.len() < self.policy.min_samples || self.failures == 0 {
             return None;
@@ -307,18 +294,14 @@ impl Breaker {
         }
     }
 
-    /// Resolves `ri` if it is the outstanding half-open probe: success
-    /// closes the breaker (returns `true`), failure re-opens it for
-    /// another cooldown.
+    /// Resolves `ri` if it is the half-open probe: success closes the
+    /// breaker (returns `true`), failure re-opens it for a cooldown.
     pub(crate) fn resolve_probe(&mut self, ri: usize, ok: bool, now: SimTime) -> bool {
         if self.state != (BreakerState::HalfOpen { probe: Some(ri) }) {
             return false;
         }
         if ok {
-            self.state = BreakerState::Closed;
-            self.forced = false;
-            self.window.clear();
-            self.failures = 0;
+            *self = Breaker::new(self.policy);
         } else {
             self.state = BreakerState::Open {
                 until: now + self.policy.cooldown,
@@ -327,9 +310,8 @@ impl Breaker {
         ok
     }
 
-    /// A probe that ended for an exempt reason (hedge cancellation,
-    /// breaker shedding) re-arms the half-open slot instead of deciding
-    /// the breaker.
+    /// A probe that ended for an exempt reason (hedge cancellation)
+    /// re-arms the half-open slot instead of deciding the breaker.
     pub(crate) fn release_probe(&mut self, ri: usize) {
         if self.state == (BreakerState::HalfOpen { probe: Some(ri) }) {
             self.state = BreakerState::HalfOpen { probe: None };
