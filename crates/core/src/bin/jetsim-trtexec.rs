@@ -1,272 +1,63 @@
-//! A `trtexec`-style command-line front-end for the simulator.
-//!
-//! Mirrors the flags the paper drives its experiments with and prints a
-//! trtexec-like performance summary plus the `jetson-stats` view:
-//!
-//! ```sh
-//! jetsim-trtexec --model=resnet50 --int8 --batch=8 --device=orin-nano \
-//!     --processes=2 --duration=2 --chrome-trace=/tmp/timeline.json
-//! ```
-//!
-//! Heterogeneous deployments use the repeatable `--tenant` flag instead
-//! of `--model`; each tenant is `model:precision:batch[:count]`:
+//! A `trtexec`-style command-line front-end for the simulator: the
+//! paper's flags in, a trtexec-like performance summary plus the
+//! `jetson-stats` view out.
 //!
 //! ```sh
-//! jetsim-trtexec --tenant=resnet50:int8:1:2 --tenant=yolov8n:fp16:4 \
-//!     --device=orin-nano --duration=2
+//! jetsim-trtexec --model=resnet50 --int8 --batch=8 --processes=2 --duration=2s
+//! jetsim-trtexec --tenant=resnet50:int8:1:2 --tenant=yolov8n:fp16:4 --duration=500ms
 //! ```
+//!
+//! The flags come from the table in [`jetsim::cli`]; `--help` lists them.
+//! A `--scenario` file supplies its closed-loop subset (device, seed,
+//! duration, GPU policy, fault seed, tenants); flags override it, and
+//! `--model` swaps out its tenants.
 
 use std::process::ExitCode;
 
+use jetsim::cli::{self, Cli, Tool};
 use jetsim::deployment::Tenant;
 use jetsim::prelude::*;
-use jetsim::scenario::{parse_duration, FlagCursor, ScenarioSpec};
+use jetsim::scenario::{parse_duration, ScenarioSpec};
+use jetsim_des::DEFAULT_SEED;
 use jetsim_profile::chrome_trace;
 use jetsim_sim::{FaultKind, FaultPlan, GpuPolicy};
 
-#[derive(Debug)]
-struct Args {
-    model: String,
-    tenants: Vec<String>,
-    precision: Precision,
-    batch: u32,
-    processes: u32,
-    streams: u32,
-    device: String,
-    duration_secs: f64,
-    nsight: bool,
-    chrome_trace: Option<String>,
-    seed: u64,
-    faults: bool,
-    fault_seed: Option<u64>,
-    gpu_policy: GpuPolicy,
-}
-
-impl Args {
-    fn usage() -> &'static str {
-        "usage: jetsim-trtexec --model=<zoo name or path/to/model.json>\n\
-         \x20                  zoo: resnet50, fcn_resnet50, yolov8n, resnet18, resnet34, resnet101, mobilenet_v2\n\
-         \x20                  [--int8|--fp16|--tf32|--fp32] [--batch=N] [--processes=N] [--streams=N]\n\
-         \x20                  [--device=orin-nano|jetson-nano|cloud-a40] [--duration=SECONDS]\n\
-         \x20                  [--nsight] [--chrome-trace=FILE] [--seed=N] [--faults[=SEED]]\n\
-         \x20                  [--gpu-policy=rr|fifo|priority[:PENALTY_US]|mps[:OVERLAP]]\n\
-         \x20                  --faults injects a seeded fault plan (memory spikes + a throttle\n\
-         \x20                  lock) and swaps strict OOM admission for OOM-killer semantics\n\
-         \x20      or: jetsim-trtexec --tenant=model:precision:batch[:count[:priority]] [--tenant=...]\n\
-         \x20                  runs a heterogeneous deployment (repeat --tenant per model mix;\n\
-         \x20                  key=value specs like model=resnet50,precision=int8,batch=4 also work);\n\
-         \x20                  mutually exclusive with --model/--batch/--processes/--streams\n\
-         \x20                  and the precision flags\n\
-         \x20      or: jetsim-trtexec --scenario=FILE\n\
-         \x20                  load a TOML/JSON scenario document as the base configuration\n\
-         \x20                  (device, seed, duration, gpu_policy, fault_seed and tenant specs;\n\
-         \x20                  serving-only fields are ignored by this closed-loop tool);\n\
-         \x20                  explicit flags override individual fields"
-    }
-
-    /// Applies the closed-loop subset of a scenario document as base
-    /// values (flags parsed afterwards override them). Serving-only
-    /// fields — SLO, arrivals, resilience, autoscaling — have no
-    /// meaning under closed-loop load and are ignored.
-    fn apply_scenario(&mut self, sc: &ScenarioSpec) -> Result<(), String> {
-        if let Some(device) = &sc.device {
-            self.device = device.clone();
-        }
-        if let Some(seed) = sc.seed {
-            self.seed = seed;
-        }
-        if let Some(duration) = &sc.duration {
-            self.duration_secs = parse_duration(duration)?.as_secs_f64();
-        }
-        if let Some(policy) = &sc.gpu_policy {
-            self.gpu_policy = policy
-                .parse()
-                .map_err(|e| format!("scenario gpu_policy: {e}"))?;
-        }
-        if let Some(fault_seed) = sc.fault_seed {
-            self.faults = true;
-            self.fault_seed = Some(fault_seed);
-        }
-        for tenant in sc.tenants.iter().flatten() {
-            if let Some(spec) = &tenant.spec {
-                self.tenants.push(spec.clone());
-            }
-        }
-        Ok(())
-    }
-
-    fn parse(argv: impl Iterator<Item = String>) -> Result<Args, String> {
-        let argv: Vec<String> = argv.collect();
-        let mut args = Args {
-            model: String::new(),
-            tenants: Vec::new(),
-            precision: Precision::Fp32,
-            batch: 1,
-            processes: 1,
-            streams: 1,
-            device: "orin-nano".to_string(),
-            duration_secs: 2.0,
-            nsight: false,
-            chrome_trace: None,
-            seed: 0x6A65_7473,
-            faults: false,
-            fault_seed: None,
-            gpu_policy: GpuPolicy::TimesliceRR,
-        };
-        // Pass 1: an optional scenario file supplies base values; any
-        // explicit flag (pass 2) overrides the corresponding field.
-        let mut tenants_from_scenario = false;
-        for (i, arg) in argv.iter().enumerate() {
-            let path = match arg.strip_prefix("--scenario=") {
-                Some(p) => Some(p.to_string()),
-                None if arg == "--scenario" => argv.get(i + 1).cloned(),
-                None => None,
-            };
-            if let Some(path) = path {
-                let scenario: ScenarioSpec = std::fs::read_to_string(&path)
-                    .map_err(|e| format!("cannot read scenario `{path}`: {e}"))?
-                    .parse()
-                    .map_err(|e| format!("{path}: {e}"))?;
-                args.tenants.clear();
-                args.apply_scenario(&scenario)?;
-                tenants_from_scenario = !args.tenants.is_empty();
-            }
-        }
-        let mut workload_flags = false;
-        let mut argv = FlagCursor::new(argv.into_iter());
-        while let Some((key, mut value)) = argv.next_flag() {
-            match key.as_str() {
-                "--model" | "--onnx" => {
-                    workload_flags = true;
-                    args.model = argv.require(&mut value)?;
-                }
-                "--scenario" => {
-                    // Applied in pass 1; just validate the spelling.
-                    argv.require(&mut value)?;
-                }
-                "--tenant" => {
-                    if tenants_from_scenario {
-                        // Explicit --tenant flags redefine the workload.
-                        args.tenants.clear();
-                        tenants_from_scenario = false;
-                    }
-                    args.tenants.push(argv.require(&mut value)?)
-                }
-                "--int8" => {
-                    workload_flags = true;
-                    args.precision = Precision::Int8;
-                }
-                "--fp16" => {
-                    workload_flags = true;
-                    args.precision = Precision::Fp16;
-                }
-                "--tf32" => {
-                    workload_flags = true;
-                    args.precision = Precision::Tf32;
-                }
-                "--fp32" => {
-                    workload_flags = true;
-                    args.precision = Precision::Fp32;
-                }
-                "--batch" => {
-                    workload_flags = true;
-                    args.batch = argv
-                        .require(&mut value)?
-                        .parse()
-                        .map_err(|e| format!("bad --batch: {e}"))?
-                }
-                "--processes" => {
-                    workload_flags = true;
-                    args.processes = argv
-                        .require(&mut value)?
-                        .parse()
-                        .map_err(|e| format!("bad --processes: {e}"))?
-                }
-                "--streams" => {
-                    workload_flags = true;
-                    args.streams = argv
-                        .require(&mut value)?
-                        .parse()
-                        .map_err(|e| format!("bad --streams: {e}"))?
-                }
-                "--device" => args.device = argv.require(&mut value)?,
-                "--duration" => {
-                    args.duration_secs = argv
-                        .require(&mut value)?
-                        .parse()
-                        .map_err(|e| format!("bad --duration: {e}"))?
-                }
-                "--nsight" => args.nsight = true,
-                "--faults" => {
-                    args.faults = true;
-                    if let Some(v) = value {
-                        args.fault_seed =
-                            Some(v.parse().map_err(|e| format!("bad --faults: {e}"))?);
-                    }
-                }
-                "--gpu-policy" => {
-                    args.gpu_policy = argv
-                        .require(&mut value)?
-                        .parse()
-                        .map_err(|e| format!("bad --gpu-policy: {e}"))?
-                }
-                "--chrome-trace" => args.chrome_trace = Some(argv.require(&mut value)?),
-                "--seed" => {
-                    args.seed = argv
-                        .require(&mut value)?
-                        .parse()
-                        .map_err(|e| format!("bad --seed: {e}"))?
-                }
-                "--help" | "-h" => return Err(Args::usage().to_string()),
-                other => return Err(format!("unknown flag `{other}`\n{}", Args::usage())),
-            }
-        }
-        if tenants_from_scenario && workload_flags {
-            // A --model invocation on top of a scenario file keeps the
-            // scenario's device/seed/duration but swaps the workload.
-            args.tenants.clear();
-        }
-        if !args.tenants.is_empty() && workload_flags {
-            return Err(format!(
-                "--tenant cannot be combined with --model/--batch/--processes/--streams \
-                 or precision flags (each tenant spec carries its own)\n{}",
-                Args::usage()
-            ));
-        }
-        if args.tenants.is_empty() && args.model.is_empty() {
-            return Err(format!(
-                "--model, --tenant or --scenario is required\n{}",
-                Args::usage()
-            ));
-        }
-        Ok(args)
-    }
-
-    fn platform(&self) -> Result<Platform, String> {
-        Platform::by_name(&self.device).ok_or_else(|| format!("unknown device `{}`", self.device))
-    }
-}
-
-fn run(args: Args) -> Result<(), String> {
-    let platform = args.platform()?;
-    let deployment = if args.tenants.is_empty() {
+fn run(cli: &Cli, sc: ScenarioSpec) -> Result<(), String> {
+    let device = sc.device.as_deref().unwrap_or("orin-nano");
+    let platform = Platform::by_name(device).ok_or_else(|| format!("unknown device `{device}`"))?;
+    let seed = sc.seed.unwrap_or(DEFAULT_SEED);
+    let gpu_policy = match &sc.gpu_policy {
+        Some(policy) => policy
+            .parse()
+            .map_err(|e| format!("bad gpu_policy `{policy}`: {e}"))?,
+        None => GpuPolicy::TimesliceRR,
+    };
+    let deployment = if cli.engine.is_some() {
         None
     } else {
         let mut d = Deployment::new();
-        for spec in &args.tenants {
+        for spec in sc
+            .tenants
+            .iter()
+            .flatten()
+            .filter_map(|t| t.spec.as_deref())
+        {
             d = d.tenant(Tenant::parse(spec).map_err(|e| e.to_string())?);
+        }
+        if d.is_empty() {
+            return Err("--model, --tenant or --scenario is required".to_string());
         }
         Some(d)
     };
 
     let warmup = SimDuration::from_millis(500);
-    let measure = SimDuration::from_secs_f64(args.duration_secs);
+    let measure = parse_duration(sc.duration.as_deref().unwrap_or("2"))?;
     let mut builder = SimConfig::builder(platform.device().clone())
         .warmup(warmup)
         .measure(measure)
-        .seed(args.seed)
-        .gpu_policy(args.gpu_policy)
-        .profiler(if args.nsight {
+        .seed(seed)
+        .gpu_policy(gpu_policy)
+        .profiler(if cli.nsight {
             ProfilerMode::Nsight
         } else {
             ProfilerMode::Lightweight
@@ -297,18 +88,24 @@ fn run(args: Args) -> Result<(), String> {
         builder = d
             .add_to_config(&platform, builder)
             .map_err(|e| e.to_string())?;
-    } else {
-        let model = if args.model.ends_with(".json") {
-            jetsim::plan::load_model(&args.model)
-                .map_err(|e| format!("cannot load model file `{}`: {e}", args.model))?
+    } else if let Some(flags) = &cli.engine {
+        let name = flags
+            .model
+            .as_deref()
+            .ok_or("--model, --tenant or --scenario is required")?;
+        let precision = flags.precision.unwrap_or(Precision::Fp32);
+        let batch = flags.batch.unwrap_or(1);
+        let model = if name.ends_with(".json") {
+            jetsim::plan::load_model(name)
+                .map_err(|e| format!("cannot load model file `{name}`: {e}"))?
         } else {
-            zoo::by_name(&args.model).ok_or_else(|| format!("unknown model `{}`", args.model))?
+            zoo::by_name(name).ok_or_else(|| format!("unknown model `{name}`"))?
         };
         let cache = jetsim_trt::EngineCache::global();
         let misses_before = cache.stats().misses;
         let build_start = std::time::Instant::now();
         let engine = platform
-            .build_engine(&model, args.precision, args.batch)
+            .build_engine(&model, precision, batch)
             .map_err(|e| e.to_string())?;
         let build_secs = build_start.elapsed().as_secs_f64();
         let cache_state = if cache.stats().misses > misses_before {
@@ -322,12 +119,11 @@ fn run(args: Args) -> Result<(), String> {
         println!("=== Build Options ===");
         println!(
             "Precision: {} (engine runs {:.0}% of FLOPs at the requested format)",
-            args.precision,
+            precision,
             engine.requested_precision_flop_fraction() * 100.0
         );
         println!(
-            "Batch: {} | Kernels after fusion: {}",
-            args.batch,
+            "Batch: {batch} | Kernels after fusion: {}",
             engine.kernel_count()
         );
         println!(
@@ -340,18 +136,18 @@ fn run(args: Args) -> Result<(), String> {
             build_secs * 1e3,
             cache.len()
         );
-        for _ in 0..args.processes {
-            builder = builder.add_engine_streams(&engine, args.streams);
+        let streams = flags.streams.unwrap_or(1);
+        for _ in 0..flags.processes.unwrap_or(1) {
+            builder = builder.add_engine_streams(&engine, streams);
         }
     }
     println!("=== Device ===");
     println!("{platform}");
-    if args.gpu_policy != GpuPolicy::TimesliceRR {
-        println!("GPU scheduling policy: {}", args.gpu_policy);
+    if gpu_policy != GpuPolicy::TimesliceRR {
+        println!("GPU scheduling policy: {gpu_policy}");
     }
 
-    if args.faults {
-        let fault_seed = args.fault_seed.unwrap_or(args.seed);
+    if let Some(fault_seed) = sc.fault_seed {
         let horizon = SimDuration::from_secs_f64(warmup.as_secs_f64() + measure.as_secs_f64());
         let plan = FaultPlan::seeded(fault_seed, horizon, 2, 1)
             .oom_policy(jetsim_sim::OomPolicy::KillLargest);
@@ -398,7 +194,7 @@ fn run(args: Args) -> Result<(), String> {
         }
     }
 
-    if args.faults {
+    if sc.fault_seed.is_some() {
         println!("\n=== Fault Events ===");
         if trace.fault_events.is_empty() {
             println!("(none fired inside the simulated window)");
@@ -441,15 +237,15 @@ fn run(args: Args) -> Result<(), String> {
         }
     }
 
-    if args.nsight {
+    if cli.nsight {
         if let Some(report) = NsightReport::from_trace(&trace) {
             println!("\n=== Nsight Systems ===");
             println!("{report}");
         }
     }
 
-    if let Some(path) = args.chrome_trace {
-        std::fs::write(&path, chrome_trace::to_chrome_trace(&trace))
+    if let Some(path) = &cli.chrome_trace {
+        std::fs::write(path, chrome_trace::to_chrome_trace(&trace))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("\nchrome trace written to {path} (open in ui.perfetto.dev)");
     }
@@ -457,17 +253,5 @@ fn run(args: Args) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    match Args::parse(std::env::args().skip(1)) {
-        Ok(args) => match run(args) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        Err(message) => {
-            eprintln!("{message}");
-            ExitCode::FAILURE
-        }
-    }
+    cli::main(Tool::Trtexec, &[], run)
 }

@@ -147,7 +147,8 @@ impl Tenant {
     /// # Errors
     ///
     /// Returns [`DeploymentError`] for unknown models, unknown
-    /// precisions, unknown keys, or malformed field values.
+    /// precisions, unknown keys, malformed field values, or a batch or
+    /// count of 0.
     pub fn parse(spec: &str) -> Result<Tenant, DeploymentError> {
         if spec.contains('=') {
             return Self::parse_kv(spec);
@@ -189,6 +190,13 @@ impl Tenant {
             })?,
             None => 0,
         };
+        if batch == 0 || count == 0 {
+            let field = if batch == 0 { "batch" } else { "count" };
+            return Err(DeploymentError::BadSpec {
+                spec: spec.to_string(),
+                reason: format!("{field} must be at least 1"),
+            });
+        }
         Ok(Tenant::new(model, precision, batch)
             .count(count)
             .priority(priority))
@@ -245,6 +253,10 @@ impl Tenant {
         let model = model.ok_or_else(|| bad("missing field `model`".to_string()))?;
         let precision = precision.ok_or_else(|| bad("missing field `precision`".to_string()))?;
         let batch = batch.ok_or_else(|| bad("missing field `batch`".to_string()))?;
+        if batch == 0 || count == 0 {
+            let field = if batch == 0 { "batch" } else { "count" };
+            return Err(bad(format!("{field} must be at least 1")));
+        }
         Ok(Tenant::new(model, precision, batch)
             .count(count)
             .priority(priority)
@@ -704,6 +716,28 @@ mod tests {
                 "teaches the grammar: {message}"
             );
         }
+    }
+
+    #[test]
+    fn parse_rejects_zero_batch_and_count_in_both_grammars() {
+        for (bad, field) in [
+            ("resnet50:int8:0", "batch must be at least 1"),
+            ("resnet50:int8:b0:2", "batch must be at least 1"),
+            ("resnet50:int8:1:0", "count must be at least 1"),
+            (
+                "model=resnet50,precision=int8,batch=0",
+                "batch must be at least 1",
+            ),
+            (
+                "model=resnet50,precision=int8,batch=1,count=0",
+                "count must be at least 1",
+            ),
+        ] {
+            let message = Tenant::parse(bad).unwrap_err().to_string();
+            assert!(message.contains(field), "{bad}: {message}");
+        }
+        // The builder clamp still guards programmatic callers.
+        assert_eq!(Tenant::new(zoo::resnet50(), Precision::Int8, 0).batch(), 1);
     }
 
     #[test]

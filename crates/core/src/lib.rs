@@ -43,6 +43,7 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
+pub mod cli;
 pub mod deployment;
 pub mod observations;
 mod par;

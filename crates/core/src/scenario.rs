@@ -1,15 +1,17 @@
 //! Declarative scenario files: the whole experiment config as one
 //! serde-backed document.
 //!
-//! A [`ScenarioSpec`] captures everything the `jetsim-serve` and
-//! `jetsim-trtexec` CLIs take as flags — platform, window, seed, GPU
-//! policy, faults, resilience knobs, autoscaling, and the tenant list —
-//! as a plain data value with **every field optional**. Missing fields
-//! mean "use the default", which makes a scenario simultaneously:
+//! A [`ScenarioSpec`] captures everything the `jetsim-trtexec`,
+//! `jetsim-serve` and `jetsim-fleet` CLIs take as flags — platform,
+//! window, seed, GPU policy, faults, resilience knobs, autoscaling, the
+//! fleet layout, and the tenant list — as a plain data value with
+//! **every field optional**. Missing fields mean "use the default",
+//! which makes a scenario simultaneously:
 //!
 //! * a complete experiment description (`--scenario run.toml`),
-//! * an overlay (CLI flags parse into a sparse `ScenarioSpec` that is
-//!   [`ScenarioSpec::merge`]d over the file), and
+//! * an overlay (the one flag table in [`crate::cli`] parses flags into
+//!   a sparse `ScenarioSpec` that is [`ScenarioSpec::merge`]d over the
+//!   file), and
 //! * a reproducibility artefact (`--dump-scenario` prints the merged
 //!   document; re-running it replays the experiment byte for bit).
 //!
@@ -38,6 +40,7 @@ use serde::{Deserialize, Serialize, Value};
 /// resilience, autoscaling, arrivals) are ignored by `jetsim-trtexec`,
 /// which reads only the closed-loop subset: `device`, `seed`,
 /// `duration`, `gpu_policy`, `fault_seed` and the tenant `spec` strings.
+/// Only `jetsim-fleet` reads the `fleet` table.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct ScenarioSpec {
     /// Platform name (`orin-nano`, `jetson-nano`, `cloud-a40`, or their
@@ -70,7 +73,7 @@ pub struct ScenarioSpec {
     /// Default batching deadline for tenants without their own
     /// (duration grammar).
     pub max_delay: Option<String>,
-    /// Default admission-queue capacity.
+    /// Default admission-queue capacity (at least 1).
     pub queue_cap: Option<u64>,
     /// Default admission policy: `reject`, `shed` or `degrade`.
     pub admission: Option<String>,
@@ -97,7 +100,7 @@ pub struct TenantScenario {
     pub arrival: Option<String>,
     /// Batching deadline override (duration grammar).
     pub max_delay: Option<String>,
-    /// Admission-queue capacity override.
+    /// Admission-queue capacity override (at least 1).
     pub queue_cap: Option<u64>,
     /// Admission policy override.
     pub admission: Option<String>,
@@ -111,7 +114,7 @@ pub struct TenantScenario {
 pub struct AutoscaleScenario {
     /// Replica floor (0 = scale to zero). Defaults to 1.
     pub min_replicas: Option<u32>,
-    /// Replica ceiling; defaults to the tenant's instance count.
+    /// Replica ceiling (at least 1); defaults to the tenant's count.
     pub max_replicas: Option<u32>,
     /// Queued requests per up replica that trigger a scale-up.
     pub target_queue: Option<f64>,
@@ -281,89 +284,6 @@ pub fn parse_arrival(s: &str) -> Result<ArrivalProcess, String> {
         other => Err(format!(
             "bad arrival `{s}`: unknown process `{other}`; {grammar}"
         )),
-    }
-}
-
-/// Cursor over CLI argv shared by every jetsim binary: yields flags
-/// split on `=` and pulls space-separated operands on demand, so each
-/// CLI accepts both `--flag=value` and `--flag value` spellings without
-/// re-implementing the machinery.
-///
-/// # Examples
-///
-/// ```
-/// use jetsim::scenario::FlagCursor;
-///
-/// let argv = ["--seed=7", "--duration", "2s", "--json"].map(String::from);
-/// let mut cursor = FlagCursor::new(argv.into_iter());
-/// let (key, mut value) = cursor.next_flag().unwrap();
-/// assert_eq!((key.as_str(), value.as_deref()), ("--seed", Some("7")));
-/// let (key, mut value) = cursor.next_flag().unwrap();
-/// assert_eq!(key, "--duration");
-/// assert_eq!(cursor.require(&mut value).unwrap(), "2s");
-/// let (key, _) = cursor.next_flag().unwrap();
-/// assert_eq!(key, "--json");
-/// assert!(cursor.next_flag().is_none());
-/// ```
-#[derive(Debug)]
-pub struct FlagCursor<I: Iterator<Item = String>> {
-    argv: std::iter::Peekable<I>,
-    key: String,
-}
-
-impl<I: Iterator<Item = String>> FlagCursor<I> {
-    /// Wraps an argv iterator (typically `std::env::args().skip(1)`).
-    pub fn new(argv: I) -> Self {
-        FlagCursor {
-            argv: argv.peekable(),
-            key: String::new(),
-        }
-    }
-
-    /// The next argument as `(flag, inline value)`: `--flag=value`
-    /// splits at the first `=`, anything else carries no inline value.
-    /// `None` when argv is exhausted.
-    pub fn next_flag(&mut self) -> Option<(String, Option<String>)> {
-        let arg = self.argv.next()?;
-        let (key, value) = match arg.split_once('=') {
-            Some((k, v)) => (k.to_string(), Some(v.to_string())),
-            None => (arg, None),
-        };
-        self.key.clone_from(&key);
-        Some((key, value))
-    }
-
-    /// The current flag's operand: the inline `=value` when present,
-    /// otherwise the next argv token unless it is itself a flag
-    /// (`--flag value` spelling).
-    ///
-    /// # Errors
-    ///
-    /// Names the flag when no value is available.
-    pub fn require(&mut self, value: &mut Option<String>) -> Result<String, String> {
-        if value.is_none() {
-            if let Some(next) = self.argv.peek() {
-                if !next.starts_with("--") {
-                    *value = self.argv.next();
-                }
-            }
-        }
-        value
-            .clone()
-            .ok_or_else(|| format!("{} needs a value", self.key))
-    }
-
-    /// Like [`FlagCursor::require`], but validates the operand against
-    /// the duration grammar eagerly while returning the raw string (so
-    /// overlays stay plain scenario documents).
-    ///
-    /// # Errors
-    ///
-    /// Missing operand or a malformed duration literal.
-    pub fn require_duration(&mut self, value: &mut Option<String>) -> Result<String, String> {
-        let raw = self.require(value)?;
-        parse_duration(&raw)?;
-        Ok(raw)
     }
 }
 

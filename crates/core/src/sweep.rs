@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use serde::Serialize;
 
-use jetsim_des::{splitmix64, SimDuration};
+use jetsim_des::{splitmix64, SimDuration, DEFAULT_SEED};
 use jetsim_dnn::{ModelGraph, Precision};
 use jetsim_profile::JetsonStatsReport;
 use jetsim_sim::{FaultPlan, GpuPolicy, ProfilerMode, SimConfig, SimError, Simulation};
@@ -147,7 +147,7 @@ impl SweepSpec {
             gpu_policies: vec![GpuPolicy::TimesliceRR],
             warmup: SimDuration::from_millis(300),
             measure: SimDuration::from_millis(1500),
-            seed: 0x6A65_7473,
+            seed: DEFAULT_SEED,
             workers: None,
         }
     }

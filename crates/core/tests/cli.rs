@@ -193,3 +193,47 @@ fn streams_flag_creates_stream_contexts() {
         "{stdout}"
     );
 }
+
+#[test]
+fn zero_streams_is_rejected() {
+    let out = trtexec(&["--model=resnet18", "--streams=0", "--duration=0.3"]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--streams: must be at least 1"), "{stderr}");
+}
+
+#[test]
+fn zero_tenant_batch_or_count_is_rejected() {
+    for (spec, field) in [
+        ("--tenant=resnet50:int8:0", "batch"),
+        ("--tenant=resnet50:int8:1:0", "count"),
+        ("--tenant=model=resnet50,precision=int8,batch=0", "batch"),
+    ] {
+        let out = trtexec(&[spec, "--duration=0.3"]);
+        assert!(!out.status.success(), "{spec}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("{field} must be at least 1")),
+            "{stderr}"
+        );
+    }
+}
+
+#[test]
+fn duration_takes_units() {
+    let out = trtexec(&["--model=resnet18", "--int8", "--duration=300ms"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let bare = trtexec(&["--model=resnet18", "--int8", "--duration=0.3"]);
+    let summary = |out: &std::process::Output| {
+        String::from_utf8_lossy(&out.stdout)
+            .lines()
+            .filter(|l| !l.starts_with("Engine build:"))
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    assert_eq!(summary(&out), summary(&bare), "300ms == a bare 0.3");
+}

@@ -42,3 +42,7 @@ pub use queue::EventQueue;
 pub use rng::{splitmix64, SimRng};
 pub use time::{nearest_rank, SimDuration, SimTime};
 pub use trace::{TraceBuffer, TraceEvent};
+
+/// The workspace's default RNG seed (`b"jets"`): every builder, spec and
+/// CLI that is not given a seed uses this one.
+pub const DEFAULT_SEED: u64 = 0x6A65_7473;

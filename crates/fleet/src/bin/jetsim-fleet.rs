@@ -5,207 +5,22 @@
 //!     --tenant resnet50:int8:1:2 --arrival poisson:400 --slo 50ms
 //! ```
 //!
-//! Every flag is an overlay over a declarative scenario document, with
-//! the same discipline as `jetsim-serve`: with `--scenario FILE` the
-//! file supplies the base configuration (including its `[fleet]`
-//! table) and explicit flags override individual fields;
-//! `--dump-scenario` prints the merged document instead of running —
-//! feeding it back via `--scenario` reproduces the run byte for byte.
-//! `--workers` caps the site-simulation threads and never changes the
-//! report bytes.
+//! The flags come from the table in [`jetsim::cli`] plus this crate's
+//! `--router` and `--network` rows; `--help` lists them. A required value
+//! takes `--flag value` or `--flag=value`; `--cloud`, whose value is
+//! optional, takes only `--cloud=true|false`. As in `jetsim-serve`, the
+//! flags overlay the `--scenario` document and `--dump-scenario` prints
+//! the merged one. `--workers` never changes the report bytes.
 
 use std::process::ExitCode;
 
-use jetsim::scenario::{parse_arrival, FlagCursor, FleetScenario};
-use jetsim_fleet::{build_fleet_spec, network_overlay, NetworkModel, RouterPolicy};
-use jetsim_serve::{ScenarioSpec, TenantScenario};
+use jetsim::cli::{self, Cli, Tool};
+use jetsim_fleet::{build_fleet_spec, CLI_FLAGS};
+use jetsim_serve::ScenarioSpec;
 
-#[derive(Debug)]
-struct Args {
-    /// Path of the base scenario document, when given.
-    scenario: Option<String>,
-    /// Every config-shaped flag, parsed into a sparse overlay.
-    overlay: ScenarioSpec,
-    /// `--arrival` given with no `--tenant` flags: override the arrival
-    /// process of every tenant the scenario file supplies.
-    bare_arrival: Option<String>,
-    /// Worker-thread cap; wall-time only, never affects results.
-    workers: Option<usize>,
-    json: bool,
-    dump_scenario: bool,
-}
-
-fn usage() -> &'static str {
-    "usage: jetsim-fleet --tenant model:precision:batch[:count] [--tenant ...]\n\
-     \x20                [--arrival poisson:RATE | mmpp:CALM:BURST:CALM_MS:BURST_MS]\n\
-     \x20                  the fleet-wide aggregate stream per tenant class, split\n\
-     \x20                  across sites by the router; default poisson:100\n\
-     \x20                [--scenario FILE] load a TOML/JSON scenario (with an optional\n\
-     \x20                  [fleet] table) as the base config; flags override fields\n\
-     \x20                [--dump-scenario] print the merged scenario (TOML) and exit\n\
-     \x20                [--sites N] edge sites, each one full device sim (default 4)\n\
-     \x20                [--router round_robin|least_queue|locality|offload]\n\
-     \x20                  routing policy over periodic telemetry snapshots (default\n\
-     \x20                  round_robin; rr and lq are accepted aliases)\n\
-     \x20                [--cloud[=true|false]] attach a cloud tier behind extra RTT\n\
-     \x20                [--cloud-device NAME] cloud tier device (default cloud-a40)\n\
-     \x20                [--network SPEC] key=value list over the default model:\n\
-     \x20                  base=5ms,jitter=0s,bw=100,req_kb=128,resp_kb=4,cloud_rtt=30ms\n\
-     \x20                [--telemetry-every DUR] router snapshot staleness (default 100ms)\n\
-     \x20                [--workers N] site-simulation threads (wall time only; the\n\
-     \x20                  report is byte-identical at any worker count)\n\
-     \x20                [--slo DUR] [--duration DUR] [--warmup DUR]\n\
-     \x20                [--device orin-nano|jetson-nano|cloud-a40] [--seed N]\n\
-     \x20                [--json] emit the report as JSON"
-}
-
-impl Args {
-    fn parse(argv: impl Iterator<Item = String>) -> Result<Args, String> {
-        let mut args = Args {
-            scenario: None,
-            overlay: ScenarioSpec::default(),
-            bare_arrival: None,
-            workers: None,
-            json: false,
-            dump_scenario: false,
-        };
-        let mut tenants: Vec<TenantScenario> = Vec::new();
-        let mut arrival: Option<String> = None;
-        let mut fleet = FleetScenario::default();
-        let mut fleet_set = false;
-        let mut argv = FlagCursor::new(argv);
-        while let Some((key, mut value)) = argv.next_flag() {
-            match key.as_str() {
-                "--scenario" => args.scenario = Some(argv.require(&mut value)?),
-                "--dump-scenario" => args.dump_scenario = true,
-                "--tenant" => {
-                    tenants.push(TenantScenario {
-                        spec: Some(argv.require(&mut value)?),
-                        arrival: arrival.clone(),
-                        ..TenantScenario::default()
-                    });
-                }
-                "--arrival" => {
-                    let raw = argv.require(&mut value)?;
-                    parse_arrival(&raw)?;
-                    if let Some(t) = tenants.last_mut() {
-                        t.arrival = Some(raw.clone());
-                    }
-                    arrival = Some(raw);
-                }
-                "--sites" => {
-                    fleet.sites = Some(
-                        argv.require(&mut value)?
-                            .parse()
-                            .map_err(|e| format!("bad --sites: {e}"))?,
-                    );
-                    fleet_set = true;
-                }
-                "--router" => {
-                    let raw = argv.require(&mut value)?;
-                    let policy: RouterPolicy = raw.parse()?;
-                    // Store canonical spelling so aliases dump identically.
-                    fleet.router = Some(policy.to_string());
-                    fleet_set = true;
-                }
-                "--cloud" => {
-                    fleet.cloud = Some(match value.as_deref() {
-                        Some("true") | None => true,
-                        Some("false") => false,
-                        Some(other) => {
-                            return Err(format!("bad --cloud `{other}`: want true or false"))
-                        }
-                    });
-                    fleet_set = true;
-                }
-                "--cloud-device" => {
-                    fleet.cloud_device = Some(argv.require(&mut value)?);
-                    fleet_set = true;
-                }
-                "--network" => {
-                    let net: NetworkModel = argv.require(&mut value)?.parse()?;
-                    let overlay = network_overlay(&net);
-                    fleet.base_latency = overlay.base_latency;
-                    fleet.jitter = overlay.jitter;
-                    fleet.bandwidth_mbps = overlay.bandwidth_mbps;
-                    fleet.request_kb = overlay.request_kb;
-                    fleet.response_kb = overlay.response_kb;
-                    fleet.cloud_rtt = overlay.cloud_rtt;
-                    fleet_set = true;
-                }
-                "--telemetry-every" => {
-                    fleet.telemetry_every = Some(argv.require_duration(&mut value)?);
-                    fleet_set = true;
-                }
-                "--workers" => {
-                    let n: usize = argv
-                        .require(&mut value)?
-                        .parse()
-                        .map_err(|e| format!("bad --workers: {e}"))?;
-                    if n == 0 {
-                        return Err("--workers must be at least 1".to_string());
-                    }
-                    args.workers = Some(n);
-                }
-                "--slo" => args.overlay.slo = Some(argv.require_duration(&mut value)?),
-                "--duration" => args.overlay.duration = Some(argv.require_duration(&mut value)?),
-                "--warmup" => args.overlay.warmup = Some(argv.require_duration(&mut value)?),
-                "--device" => args.overlay.device = Some(argv.require(&mut value)?),
-                "--seed" => {
-                    args.overlay.seed = Some(
-                        argv.require(&mut value)?
-                            .parse()
-                            .map_err(|e| format!("bad --seed: {e}"))?,
-                    )
-                }
-                "--json" => args.json = true,
-                "--help" | "-h" => return Err(usage().to_string()),
-                other => return Err(format!("unknown flag `{other}`\n{}", usage())),
-            }
-        }
-        if !tenants.is_empty() {
-            args.overlay.tenants = Some(tenants);
-        } else {
-            args.bare_arrival = arrival;
-        }
-        if fleet_set {
-            args.overlay.fleet = Some(fleet);
-        }
-        if args.scenario.is_none() && args.overlay.tenants.is_none() && !args.dump_scenario {
-            return Err(format!("--tenant or --scenario is required\n{}", usage()));
-        }
-        Ok(args)
-    }
-
-    /// Loads the scenario file (if any) and layers the flag overlay on
-    /// top.
-    fn merged_scenario(&self) -> Result<ScenarioSpec, String> {
-        let base = match &self.scenario {
-            Some(path) => std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read scenario `{path}`: {e}"))?
-                .parse::<ScenarioSpec>()
-                .map_err(|e| format!("{path}: {e}"))?,
-            None => ScenarioSpec::default(),
-        };
-        let mut merged = base.merge(&self.overlay);
-        if let Some(arrival) = &self.bare_arrival {
-            for tenant in merged.tenants.iter_mut().flatten() {
-                tenant.arrival = Some(arrival.clone());
-            }
-        }
-        Ok(merged)
-    }
-}
-
-fn run(args: Args) -> Result<(), String> {
-    let scenario = args.merged_scenario()?;
-    if args.dump_scenario {
-        print!("{scenario}");
-        return Ok(());
-    }
-    let spec = build_fleet_spec(&scenario)?.workers(args.workers);
-    let report = spec.run()?;
-    if args.json {
+fn run(cli: &Cli, scenario: ScenarioSpec) -> Result<(), String> {
+    let report = build_fleet_spec(&scenario)?.workers(cli.workers).run()?;
+    if cli.json {
         println!("{}", report.to_json());
     } else {
         print!("{report}");
@@ -214,17 +29,5 @@ fn run(args: Args) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    match Args::parse(std::env::args().skip(1)) {
-        Ok(args) => match run(args) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        Err(message) => {
-            eprintln!("{message}");
-            ExitCode::FAILURE
-        }
-    }
+    cli::main(Tool::Fleet, CLI_FLAGS, run)
 }

@@ -61,7 +61,7 @@ pub mod spec;
 pub use network::{Direction, NetworkModel};
 pub use report::{FleetReport, SiteReport};
 pub use router::{FleetRouter, FleetView, RouteRequest, RouterPolicy};
-pub use scenario::{build_fleet_spec, build_network, network_overlay};
+pub use scenario::{build_fleet_spec, build_network, network_overlay, CLI_FLAGS};
 pub use spec::{FleetSpec, DEFAULT_TELEMETRY_EVERY};
 
 // Re-export the scenario vocabulary so fleet callers need only this

@@ -7,9 +7,11 @@
 //! `--dump-scenario` round-trips byte for byte and a scenario file
 //! reproduces the equivalent flag invocation.
 
+use jetsim::cli::{Flag, Operand, Tool};
 use jetsim::scenario::{parse_duration, FleetScenario, ScenarioSpec};
 
 use crate::network::NetworkModel;
+use crate::router::RouterPolicy;
 use crate::spec::FleetSpec;
 
 /// Default edge-site count when the scenario does not say.
@@ -103,6 +105,23 @@ pub fn network_overlay(net: &NetworkModel) -> FleetScenario {
         telemetry_every: None,
     }
 }
+
+/// The `jetsim-fleet` rows of [`jetsim::cli::FLAGS`] whose grammar lives
+/// in this crate. `--router` stores the canonical name, so aliases dump
+/// the same.
+#[rustfmt::skip]
+pub const CLI_FLAGS: &[Flag] = &[
+    Flag::new("--router", &[Tool::Fleet], Operand::Required("POLICY"), "round_robin (default), least_queue, locality \
+        or offload, on periodic telemetry snapshots; rr and lq are aliases",
+        |c, v| { c.fleet_mut().router = Some(v.parse::<RouterPolicy>()?.to_string()); Ok(()) }),
+    Flag::new("--network", &[Tool::Fleet], Operand::Required("SPEC"), "key=value list over the default model \
+        base=5ms,jitter=0s,bw=100,req_kb=128,resp_kb=4,cloud_rtt=30ms; pins all six fields", |c, v| {
+            let (net, fleet) = (network_overlay(&v.parse()?), c.fleet_mut());
+            (fleet.base_latency, fleet.jitter, fleet.cloud_rtt) = (net.base_latency, net.jitter, net.cloud_rtt);
+            (fleet.bandwidth_mbps, fleet.request_kb, fleet.response_kb) = (net.bandwidth_mbps, net.request_kb, net.response_kb);
+            Ok(())
+        }),
+];
 
 #[cfg(test)]
 mod tests {

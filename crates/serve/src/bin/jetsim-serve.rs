@@ -5,314 +5,28 @@
 //!     --slo 50ms --duration 30s
 //! ```
 //!
-//! Each `--tenant model:precision:batch[:count]` (or key=value form)
-//! takes the preceding (or last) `--arrival`; `--find-max-qps` turns the
-//! run into a capacity search for tenant 0. Both `--flag value` and
-//! `--flag=value` spellings work.
+//! Each `--tenant` takes the preceding (or last) `--arrival`;
+//! `--find-max-qps` turns the run into a capacity search for tenant 0.
+//! The flags come from the table in [`jetsim::cli`]; `--help` lists them.
+//! A required value takes `--flag value` or `--flag=value`; an optional
+//! one (`--retry`, `--faults`, `--hedge`, `--breaker`, `--recovery`,
+//! `--find-max-qps`) only `--flag=value`, so `--retry 0` fails.
 //!
-//! Every flag is an overlay over a declarative scenario document: with
-//! `--scenario FILE` the file (TOML or JSON [`ScenarioSpec`]) supplies
-//! the base configuration and explicit flags override individual
-//! fields; without it the overlay stands alone. `--dump-scenario`
-//! prints the merged document instead of running — feeding it back via
-//! `--scenario` reproduces the run byte for byte.
+//! The flags overlay the `--scenario` document (TOML or JSON
+//! [`ScenarioSpec`]), if any. `--dump-scenario` prints the merged
+//! document; running it with `--scenario` reproduces the run byte for
+//! byte.
 
 use std::process::ExitCode;
 
-use jetsim::scenario::{parse_arrival, parse_duration, FlagCursor};
-use jetsim_serve::scenario::{build_serve_spec, DEFAULT_SEED};
-use jetsim_serve::{AutoscaleScenario, ScenarioSpec, TenantScenario};
-use jetsim_sim::GpuPolicy;
+use jetsim::cli::{self, Cli, Tool};
+use jetsim_serve::{build_serve_spec, ScenarioSpec};
 
-#[derive(Debug)]
-struct Args {
-    /// Path of the base scenario document, when given.
-    scenario: Option<String>,
-    /// Every config-shaped flag, parsed into a sparse overlay.
-    overlay: ScenarioSpec,
-    /// `--faults` armed without an explicit seed: resolve against the
-    /// *merged* seed after the scenario file is applied.
-    faults_default_seed: bool,
-    /// `--arrival` given with no `--tenant` flags: override the arrival
-    /// process of every tenant the scenario file supplies.
-    bare_arrival: Option<String>,
-    find_max_qps: Option<f64>,
-    json: bool,
-    dump_scenario: bool,
-}
-
-fn usage() -> &'static str {
-    "usage: jetsim-serve --tenant model:precision:batch[:count[:priority]] [--tenant ...]\n\
-     \x20                  or key=value form: model=resnet50,precision=int8,batch=4,\n\
-     \x20                  count=2,priority=1,sm_share=0.5\n\
-     \x20                [--arrival poisson:RATE | mmpp:CALM:BURST:CALM_MS:BURST_MS]\n\
-     \x20                  each --arrival applies to the following --tenant(s);\n\
-     \x20                  default poisson:100\n\
-     \x20                [--scenario FILE] load a TOML/JSON scenario as the base config;\n\
-     \x20                  explicit flags override individual fields\n\
-     \x20                [--dump-scenario] print the merged scenario (TOML) and exit\n\
-     \x20                [--slo DUR] [--duration DUR] [--warmup DUR] [--max-delay DUR]\n\
-     \x20                  DUR accepts us/ms/s suffixes; a bare number means seconds\n\
-     \x20                [--queue-cap N] [--admission reject|shed|degrade]\n\
-     \x20                [--device orin-nano|jetson-nano|cloud-a40] [--seed N]\n\
-     \x20                [--find-max-qps[=TARGET]] search the highest offered load that\n\
-     \x20                  keeps tenant 0's SLO attainment >= TARGET (default 0.95)\n\
-     \x20                [--faults[=SEED]] inject a seeded fault plan (2 memory spikes,\n\
-     \x20                  1 throttle lock, OOM killer armed; SEED defaults to --seed)\n\
-     \x20                [--deadline DUR] fail requests still queued after DUR\n\
-     \x20                [--retry[=N]] retry failed requests, N total attempts (default 3)\n\
-     \x20                [--hedge[=DUR|auto]] duplicate slow requests after DUR\n\
-     \x20                  (default auto: the rolling p95 latency)\n\
-     \x20                [--breaker[=shed|brownout]] circuit-break on rolling error rate\n\
-     \x20                  (default shed)\n\
-     \x20                [--recovery[=N]] restart OOM-killed replicas up to N times\n\
-     \x20                  (default 2; cost derived from the engine cache)\n\
-     \x20                [--autoscale MIN[:MAX]] autoscale every tenant between MIN and\n\
-     \x20                  MAX replicas (MIN 0 = scale to zero; MAX defaults to the\n\
-     \x20                  tenant's instance count)\n\
-     \x20                [--target-queue N] queued requests per replica that trigger a\n\
-     \x20                  scale-up (default 4)\n\
-     \x20                [--keep-alive DUR] idle time before reaping above the floor\n\
-     \x20                  (default 200ms)\n\
-     \x20                [--scale-every DUR] autoscaler evaluation period (default 20ms)\n\
-     \x20                [--scale-slo-burn] also scale up on SLO burn\n\
-     \x20                [--scale-cost DUR|auto] replica start cost (default auto:\n\
-     \x20                  cold/warm derived from the engine cache)\n\
-     \x20                [--gpu-policy rr|fifo|priority[:PENALTY_US]|mps[:OVERLAP]]\n\
-     \x20                  GPU scheduling policy (default rr); tenant priorities come\n\
-     \x20                  from the 5th --tenant field\n\
-     \x20                [--json] emit the report as JSON"
-}
-
-impl Args {
-    fn parse(argv: impl Iterator<Item = String>) -> Result<Args, String> {
-        let mut args = Args {
-            scenario: None,
-            overlay: ScenarioSpec::default(),
-            faults_default_seed: false,
-            bare_arrival: None,
-            find_max_qps: None,
-            json: false,
-            dump_scenario: false,
-        };
-        let mut tenants: Vec<TenantScenario> = Vec::new();
-        let mut arrival: Option<String> = None;
-        let mut autoscale = AutoscaleScenario::default();
-        let mut autoscale_set = false;
-        let mut argv = FlagCursor::new(argv);
-        while let Some((key, mut value)) = argv.next_flag() {
-            match key.as_str() {
-                "--scenario" => args.scenario = Some(argv.require(&mut value)?),
-                "--dump-scenario" => args.dump_scenario = true,
-                "--tenant" => {
-                    tenants.push(TenantScenario {
-                        spec: Some(argv.require(&mut value)?),
-                        arrival: arrival.clone(),
-                        ..TenantScenario::default()
-                    });
-                }
-                "--arrival" => {
-                    let raw = argv.require(&mut value)?;
-                    parse_arrival(&raw)?;
-                    // Retroactively applies when --arrival follows the
-                    // final --tenant (the natural CLI reading).
-                    if let Some(t) = tenants.last_mut() {
-                        t.arrival = Some(raw.clone());
-                    }
-                    arrival = Some(raw);
-                }
-                "--slo" => args.overlay.slo = Some(argv.require_duration(&mut value)?),
-                "--duration" => args.overlay.duration = Some(argv.require_duration(&mut value)?),
-                "--warmup" => args.overlay.warmup = Some(argv.require_duration(&mut value)?),
-                "--max-delay" => args.overlay.max_delay = Some(argv.require_duration(&mut value)?),
-                "--queue-cap" => {
-                    args.overlay.queue_cap = Some(
-                        argv.require(&mut value)?
-                            .parse()
-                            .map_err(|e| format!("bad --queue-cap: {e}"))?,
-                    )
-                }
-                "--admission" => {
-                    let policy = argv.require(&mut value)?;
-                    match policy.as_str() {
-                        "reject" | "shed" | "degrade" => args.overlay.admission = Some(policy),
-                        other => {
-                            return Err(format!(
-                                "bad --admission `{other}`: want reject, shed or degrade"
-                            ))
-                        }
-                    }
-                }
-                "--device" => args.overlay.device = Some(argv.require(&mut value)?),
-                "--seed" => {
-                    args.overlay.seed = Some(
-                        argv.require(&mut value)?
-                            .parse()
-                            .map_err(|e| format!("bad --seed: {e}"))?,
-                    )
-                }
-                "--find-max-qps" => {
-                    args.find_max_qps = Some(match value {
-                        Some(v) => v
-                            .parse()
-                            .map_err(|e| format!("bad --find-max-qps target: {e}"))?,
-                        None => 0.95,
-                    })
-                }
-                "--faults" => match value {
-                    Some(v) => {
-                        args.overlay.fault_seed =
-                            Some(v.parse().map_err(|e| format!("bad --faults seed: {e}"))?)
-                    }
-                    None => args.faults_default_seed = true,
-                },
-                "--deadline" => args.overlay.deadline = Some(argv.require_duration(&mut value)?),
-                "--retry" => {
-                    args.overlay.retry = Some(match value {
-                        Some(v) => v
-                            .parse()
-                            .map_err(|e| format!("bad --retry attempts: {e}"))?,
-                        None => 3,
-                    })
-                }
-                "--hedge" => {
-                    args.overlay.hedge = Some(match value.as_deref() {
-                        Some("auto") | None => "auto".to_string(),
-                        Some(v) => {
-                            parse_duration(v)?;
-                            v.to_string()
-                        }
-                    })
-                }
-                "--breaker" => {
-                    args.overlay.breaker = Some(match value.as_deref() {
-                        Some("shed") | None => "shed".to_string(),
-                        Some("brownout") => "brownout".to_string(),
-                        Some(other) => {
-                            return Err(format!("bad --breaker `{other}`: want shed or brownout"))
-                        }
-                    })
-                }
-                "--recovery" => {
-                    args.overlay.recovery = Some(match value {
-                        Some(v) => v
-                            .parse()
-                            .map_err(|e| format!("bad --recovery restarts: {e}"))?,
-                        None => 2,
-                    })
-                }
-                "--autoscale" => {
-                    let spec = argv.require(&mut value)?;
-                    let (min, max) = match spec.split_once(':') {
-                        Some((min, max)) => (
-                            min.parse()
-                                .map_err(|e| format!("bad --autoscale MIN: {e}"))?,
-                            Some(
-                                max.parse()
-                                    .map_err(|e| format!("bad --autoscale MAX: {e}"))?,
-                            ),
-                        ),
-                        None => (
-                            spec.parse()
-                                .map_err(|e| format!("bad --autoscale MIN: {e}"))?,
-                            None,
-                        ),
-                    };
-                    autoscale.min_replicas = Some(min);
-                    autoscale.max_replicas = max;
-                    autoscale_set = true;
-                }
-                "--target-queue" => {
-                    autoscale.target_queue = Some(
-                        argv.require(&mut value)?
-                            .parse()
-                            .map_err(|e| format!("bad --target-queue: {e}"))?,
-                    );
-                    autoscale_set = true;
-                }
-                "--keep-alive" => {
-                    autoscale.keep_alive = Some(argv.require_duration(&mut value)?);
-                    autoscale_set = true;
-                }
-                "--scale-every" => {
-                    autoscale.evaluate_every = Some(argv.require_duration(&mut value)?);
-                    autoscale_set = true;
-                }
-                "--scale-slo-burn" => {
-                    autoscale.slo_burn = Some(true);
-                    autoscale_set = true;
-                }
-                "--scale-cost" => {
-                    let cost = argv.require(&mut value)?;
-                    if cost != "auto" {
-                        parse_duration(&cost)?;
-                    }
-                    autoscale.start_cost = Some(cost);
-                    autoscale_set = true;
-                }
-                "--gpu-policy" => {
-                    let policy = argv.require(&mut value)?;
-                    policy
-                        .parse::<GpuPolicy>()
-                        .map_err(|e| format!("bad --gpu-policy: {e}"))?;
-                    args.overlay.gpu_policy = Some(policy);
-                }
-                "--json" => args.json = true,
-                "--help" | "-h" => return Err(usage().to_string()),
-                other => return Err(format!("unknown flag `{other}`\n{}", usage())),
-            }
-        }
-        if !tenants.is_empty() {
-            args.overlay.tenants = Some(tenants);
-        } else {
-            // A bare --arrival with the tenant list coming from the
-            // scenario file overrides every tenant's arrivals.
-            args.bare_arrival = arrival;
-        }
-        if autoscale_set {
-            args.overlay.autoscale = Some(autoscale);
-        }
-        if args.scenario.is_none() && args.overlay.tenants.is_none() && !args.dump_scenario {
-            return Err(format!("--tenant or --scenario is required\n{}", usage()));
-        }
-        Ok(args)
-    }
-
-    /// Loads the scenario file (if any), layers the flag overlay on
-    /// top, and resolves the armed-but-unseeded `--faults` default
-    /// against the merged seed.
-    fn merged_scenario(&self) -> Result<ScenarioSpec, String> {
-        let base = match &self.scenario {
-            Some(path) => std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read scenario `{path}`: {e}"))?
-                .parse::<ScenarioSpec>()
-                .map_err(|e| format!("{path}: {e}"))?,
-            None => ScenarioSpec::default(),
-        };
-        let mut merged = base.merge(&self.overlay);
-        if self.faults_default_seed && merged.fault_seed.is_none() {
-            merged.fault_seed = Some(merged.seed.unwrap_or(DEFAULT_SEED));
-        }
-        if let Some(arrival) = &self.bare_arrival {
-            for tenant in merged.tenants.iter_mut().flatten() {
-                tenant.arrival = Some(arrival.clone());
-            }
-        }
-        Ok(merged)
-    }
-}
-
-fn run(args: Args) -> Result<(), String> {
-    let scenario = args.merged_scenario()?;
-    if args.dump_scenario {
-        print!("{scenario}");
-        return Ok(());
-    }
+fn run(cli: &Cli, scenario: ScenarioSpec) -> Result<(), String> {
     let spec = build_serve_spec(&scenario)?;
-
-    if let Some(target) = args.find_max_qps {
+    if let Some(target) = cli.find_max_qps {
         let estimate = spec.find_max_qps(target, 6).map_err(|e| e.to_string())?;
-        if args.json {
+        if cli.json {
             println!(
                 "{}",
                 serde_json::to_string_pretty(&estimate).map_err(|e| e.to_string())?
@@ -339,7 +53,7 @@ fn run(args: Args) -> Result<(), String> {
     }
 
     let report = spec.run().map_err(|e| e.to_string())?;
-    if args.json {
+    if cli.json {
         println!(
             "{}",
             serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?
@@ -351,17 +65,5 @@ fn run(args: Args) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    match Args::parse(std::env::args().skip(1)) {
-        Ok(args) => match run(args) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        Err(message) => {
-            eprintln!("{message}");
-            ExitCode::FAILURE
-        }
-    }
+    cli::main(Tool::Serve, &[], run)
 }

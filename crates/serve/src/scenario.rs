@@ -20,8 +20,8 @@ use crate::{
     AdmissionPolicy, BreakerMode, BreakerPolicy, FaultPlan, HedgePolicy, OomPolicy, RetryPolicy,
 };
 
-/// Default seed shared with the `jetsim-serve` CLI (`b"jets"`).
-pub const DEFAULT_SEED: u64 = 0x6A65_7473;
+/// The workspace default seed, re-exported where serve callers look for it.
+pub use jetsim_des::DEFAULT_SEED;
 
 fn duration_or(field: &Option<String>, default: SimDuration) -> Result<SimDuration, String> {
     match field {
@@ -46,6 +46,9 @@ fn parse_admission(s: &str) -> Result<AdmissionPolicy, String> {
 pub fn build_autoscale(a: &AutoscaleScenario) -> Result<AutoscaleSpec, String> {
     let mut spec = AutoscaleSpec::new(a.min_replicas.unwrap_or(1));
     if let Some(max) = a.max_replicas {
+        if max == 0 {
+            return Err("autoscale max_replicas must be at least 1".to_string());
+        }
         spec = spec.max_replicas(max);
     }
     if let Some(target) = a.target_queue {
@@ -81,8 +84,8 @@ pub fn build_autoscale(a: &AutoscaleScenario) -> Result<AutoscaleSpec, String> {
 /// # Errors
 ///
 /// Returns a message naming the offending field: unknown device, bad
-/// grammar in any duration/arrival/tenant string, or a scenario with no
-/// tenants.
+/// grammar in any duration/arrival/tenant string, a `queue_cap` or
+/// autoscale `max_replicas` of 0, or a scenario with no tenants.
 pub fn build_serve_spec(sc: &ScenarioSpec) -> Result<ServeSpec, String> {
     let device = sc.device.as_deref().unwrap_or("orin-nano");
     let platform = Platform::by_name(device).ok_or_else(|| format!("unknown device `{device}`"))?;
@@ -143,7 +146,11 @@ pub fn build_serve_spec(sc: &ScenarioSpec) -> Result<ServeSpec, String> {
         .filter(|t| !t.is_empty())
         .ok_or("scenario has no tenants (add a [[tenants]] table with spec = \"...\")")?;
     let default_max_delay = duration_or(&sc.max_delay, SimDuration::from_millis(5))?;
-    let default_queue_cap = sc.queue_cap.unwrap_or(64) as usize;
+    let queue_cap = |cap: Option<u64>, field: &str| match cap {
+        Some(0) => Err(format!("{field} must be at least 1")),
+        cap => Ok(cap.map(|c| c as usize)),
+    };
+    let default_queue_cap = queue_cap(sc.queue_cap, "queue_cap")?.unwrap_or(64);
     let default_admission = match &sc.admission {
         Some(a) => parse_admission(a)?,
         None => AdmissionPolicy::Reject,
@@ -160,7 +167,10 @@ pub fn build_serve_spec(sc: &ScenarioSpec) -> Result<ServeSpec, String> {
         let mut tenant = ServeTenant::parse(tenant_spec, arrivals)
             .map_err(|e| format!("tenants[{i}]: {e}"))?
             .max_delay(duration_or(&t.max_delay, default_max_delay)?)
-            .queue_cap(t.queue_cap.map(|c| c as usize).unwrap_or(default_queue_cap))
+            .queue_cap(
+                queue_cap(t.queue_cap, &format!("tenants[{i}].queue_cap"))?
+                    .unwrap_or(default_queue_cap),
+            )
             .admission(match &t.admission {
                 Some(a) => parse_admission(a)?,
                 None => default_admission,
@@ -235,6 +245,31 @@ mod tests {
             ..minimal()
         };
         assert!(build_serve_spec(&sc).unwrap_err().contains("lottery"));
+    }
+
+    #[test]
+    fn zero_queue_cap_and_max_replicas_are_rejected() {
+        let sc = ScenarioSpec {
+            queue_cap: Some(0),
+            ..minimal()
+        };
+        let err = build_serve_spec(&sc).unwrap_err();
+        assert!(err.contains("queue_cap must be at least 1"), "{err}");
+
+        let mut sc = minimal();
+        sc.tenants.as_mut().unwrap()[0].queue_cap = Some(0);
+        let err = build_serve_spec(&sc).unwrap_err();
+        assert!(err.contains("tenants[0].queue_cap"), "{err}");
+
+        let sc = ScenarioSpec {
+            autoscale: Some(AutoscaleScenario {
+                max_replicas: Some(0),
+                ..AutoscaleScenario::default()
+            }),
+            ..minimal()
+        };
+        let err = build_serve_spec(&sc).unwrap_err();
+        assert!(err.contains("max_replicas must be at least 1"), "{err}");
     }
 
     #[test]

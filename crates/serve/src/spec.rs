@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use jetsim::deployment::{DeploymentError, Tenant};
 use jetsim::platform::Platform;
-use jetsim_des::{ArrivalProcess, SimDuration};
+use jetsim_des::{ArrivalProcess, SimDuration, DEFAULT_SEED};
 use jetsim_dnn::Precision;
 use jetsim_sim::serving::{AdmissionPolicy, AutoscalerPolicy, BreakerMode, ServeGroup, ServePlan};
 use jetsim_sim::{FaultPlan, GpuPolicy, SimConfig, SimError, Simulation};
@@ -336,7 +336,7 @@ impl ServeSpec {
             tenants: Vec::new(),
             warmup: SimDuration::from_millis(500),
             duration: SimDuration::from_secs(3),
-            seed: 0x6A65_7473,
+            seed: DEFAULT_SEED,
             slo: SimDuration::from_millis(50),
             faults: FaultPlan::new(),
             resilience: ResiliencePolicies::none(),

@@ -113,3 +113,46 @@ fn bad_resilience_flags_fail_cleanly() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--retry"), "{stderr}");
 }
+
+#[test]
+fn out_of_range_inputs_are_rejected_with_the_field_named() {
+    for (args, needle) in [
+        (
+            &["--tenant", "resnet50:int8:0:2"][..],
+            "batch must be at least 1",
+        ),
+        (
+            &["--tenant", "resnet50:int8:1:0"][..],
+            "count must be at least 1",
+        ),
+        (
+            &["--tenant", "model=resnet50,precision=int8,batch=0"][..],
+            "batch must be at least 1",
+        ),
+        (
+            &["--tenant", "model=resnet50,precision=int8,batch=1,count=0"][..],
+            "count must be at least 1",
+        ),
+        (
+            &["--tenant", "resnet50:int8:1", "--queue-cap", "0"][..],
+            "--queue-cap: must be at least 1",
+        ),
+        (
+            &["--tenant", "resnet50:int8:1", "--autoscale", "1:0"][..],
+            "--autoscale: MAX: must be at least 1",
+        ),
+    ] {
+        let out = serve(&[args, &["--duration", "300ms", "--warmup", "100ms"]].concat());
+        assert!(!out.status.success(), "{args:?} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(needle), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn optional_values_take_only_the_equals_form() {
+    let out = serve(&["--tenant", "resnet50:int8:1", "--retry", "0"]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag `0`"), "{stderr}");
+}

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use jetsim_des::SimDuration;
+use jetsim_des::{SimDuration, DEFAULT_SEED};
 use jetsim_device::DeviceSpec;
 use jetsim_dnn::{ModelGraph, Precision};
 use jetsim_trt::{BuildError, Engine, EngineBuilder};
@@ -333,7 +333,7 @@ impl SimConfig {
             processes: Vec::new(),
             warmup: SimDuration::from_millis(500),
             measure: SimDuration::from_secs(3),
-            seed: 0x6A65_7473,
+            seed: DEFAULT_SEED,
             profiler: ProfilerMode::Lightweight,
             sample_period: SimDuration::from_millis(200),
             gpu_sharing: GpuSharing::TimeMultiplexed,
