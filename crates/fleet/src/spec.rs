@@ -42,7 +42,7 @@ use jetsim::scenario::ScenarioSpec;
 use jetsim_des::{
     gaps_from_times, nearest_rank, splitmix64, ArrivalProcess, ArrivalStream, SimDuration, SimTime,
 };
-use jetsim_serve::{build_serve_spec, estimate_capacity, ServeReport, ServeSpec};
+use jetsim_serve::{build_serve_spec, chain_table, estimate_capacity, ServeReport, ServeSpec};
 use jetsim_sim::serving::group_seed;
 use jetsim_sim::{RunTrace, Simulation};
 
@@ -96,26 +96,9 @@ impl SiteRun {
         warmup: SimDuration,
         deadline: Option<SimDuration>,
     ) -> SiteRun {
-        // Earliest chain completion per root, as the serve metrics
-        // compute it.
-        let n = trace.requests.len();
-        let mut root = vec![0usize; n];
-        let mut completion: Vec<Option<SimTime>> = vec![None; n];
-        for (i, r) in trace.requests.iter().enumerate() {
-            root[i] = match r.retry_of.or(r.hedge_of) {
-                Some(parent) => root[parent],
-                None => i,
-            };
-            if let Some(at) = r.completed {
-                let best = completion[root[i]];
-                completion[root[i]] = Some(best.map_or(at, |b| b.min(at)));
-            }
-        }
         let mut root_completions: Vec<Vec<Option<SimTime>>> = vec![Vec::new(); n_classes];
-        for (i, r) in trace.requests.iter().enumerate() {
-            if r.retry_of.is_none() && r.hedge_of.is_none() {
-                root_completions[r.group].push(completion[i]);
-            }
+        for chain in chain_table(&trace.requests) {
+            root_completions[chain.group].push(chain.completion);
         }
         SiteRun {
             sim_events: trace.sim_events,

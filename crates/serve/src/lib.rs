@@ -58,7 +58,7 @@ pub mod spec;
 pub mod telemetry;
 
 pub use capacity::{find_max_qps, CapacityEstimate, CapacityProbe};
-pub use metrics::{GroupReport, ServeReport};
+pub use metrics::{chain_table, Chain, GroupReport, ServeReport};
 pub use resilience::{
     chaos_sweep, chaos_sweep_with_plan, ChaosCell, RecoverySpec, ResiliencePolicies,
     ResilienceReport, RestartCost,

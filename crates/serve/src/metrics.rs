@@ -8,13 +8,15 @@
 //! goodput), failed when every member reached a terminal drop, and
 //! unfinished when the run ended with a member still queued or in
 //! flight. Without resilience policies every chain is a single record
-//! and the numbers reduce to the plain per-request accounting.
+//! and the numbers reduce to the plain per-request accounting. The
+//! chains themselves are [`chain_table`], which fleet aggregation reads
+//! too.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use jetsim_des::{nearest_rank, SimDuration, SimTime};
-use jetsim_sim::serving::{DropKind, ServeEventKind};
+use jetsim_sim::serving::{DropKind, RequestRecord, ServeEvent, ServeEventKind};
 use jetsim_sim::RunTrace;
 use serde::Serialize;
 
@@ -121,17 +123,292 @@ pub struct ServeReport {
     pub groups: Vec<GroupReport>,
 }
 
-/// Rolled-up outcome of one logical request (chain of attempts).
-struct Chain {
-    group: usize,
-    arrival: SimTime,
-    in_window: bool,
+/// Rolled-up outcome of one logical request: a root record plus every
+/// retry and hedge duplicate descending from it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Chain {
+    /// Serve group of the root record.
+    pub group: usize,
+    /// The root's arrival; the report attributes the chain to the
+    /// measured window by it.
+    pub arrival: SimTime,
     /// Earliest completion across members, if any.
-    completion: Option<SimTime>,
+    pub completion: Option<SimTime>,
     /// A member is still queued or in flight.
-    pending: bool,
+    pub pending: bool,
     /// Physical members.
+    pub attempts: usize,
+}
+
+/// The chain table of a serving trace's request log: one [`Chain`] per
+/// root record, in the roots' arrival order.
+pub fn chain_table(requests: &[RequestRecord]) -> Vec<Chain> {
+    roll_up_chains(requests, |_, _| {})
+}
+
+/// Folds every record into its chain in one forward pass (parents always
+/// precede children in arrival order), calling `visit` with each record
+/// and its chain as rolled up so far.
+fn roll_up_chains(
+    requests: &[RequestRecord],
+    mut visit: impl FnMut(&RequestRecord, &Chain),
+) -> Vec<Chain> {
+    let mut chain_of: Vec<u32> = Vec::with_capacity(requests.len());
+    let mut chains: Vec<Chain> = Vec::with_capacity(requests.len());
+    for r in requests {
+        let c = match r.retry_of.or(r.hedge_of) {
+            Some(parent) => chain_of[parent] as usize,
+            None => {
+                chains.push(Chain {
+                    group: r.group,
+                    arrival: r.arrival,
+                    completion: None,
+                    pending: false,
+                    attempts: 0,
+                });
+                chains.len() - 1
+            }
+        };
+        chain_of
+            .push(u32::try_from(c).expect("request indices fit in u32, as in the DES event slab"));
+        let chain = &mut chains[c];
+        chain.attempts += 1;
+        if let Some(at) = r.completed {
+            chain.completion = Some(chain.completion.map_or(at, |best| best.min(at)));
+        } else if r.dropped.is_none() {
+            chain.pending = true;
+        }
+        visit(r, chain);
+    }
+    chains
+}
+
+/// One group's running totals while the report walks the request log,
+/// the chain table and the serve events.
+#[derive(Default)]
+struct GroupAcc {
+    // Logical requests (in-window chains).
+    offered: usize,
+    served: usize,
+    failed: usize,
+    unfinished: usize,
     attempts: usize,
+    within_slo: usize,
+    within_deadline: usize,
+    latencies: Vec<SimDuration>,
+    // Physical records of in-window chains.
+    rejected: usize,
+    shed: usize,
+    deadline_expired: usize,
+    killed_inflight: usize,
+    hedge_losers: usize,
+    breaker_rejected: usize,
+    wait_total: SimDuration,
+    wait_count: usize,
+    // In-window serve events.
+    batches: usize,
+    batched_requests: u64,
+    degraded_batches: usize,
+    max_queue_depth: usize,
+    breaker_trips: usize,
+    replica_restarts: usize,
+    replica_ejected: usize,
+    down_at: HashMap<usize, SimTime>,
+    recovery_total: SimDuration,
+    // Autoscaling replay over every serve event.
+    up_set: HashSet<usize>,
+    serving_at_down: HashMap<usize, bool>,
+    provisioned_at: HashMap<usize, (SimTime, bool)>,
+    cold_starts: usize,
+    warm_starts: usize,
+    cold_tax_total: SimDuration,
+    cold_tax_count: usize,
+    reaps: usize,
+    scale_to_zero_parks: usize,
+    replica_seconds: f64,
+    last_t: SimTime,
+}
+
+impl GroupAcc {
+    /// Counts one physical record of an in-window chain.
+    fn record(&mut self, r: &RequestRecord) {
+        if let Some(drop) = &r.dropped {
+            match drop.kind {
+                DropKind::Rejected => self.rejected += 1,
+                DropKind::Shed => self.shed += 1,
+                DropKind::DeadlineExpired => self.deadline_expired += 1,
+                DropKind::Killed => self.killed_inflight += 1,
+                DropKind::HedgeLoser => self.hedge_losers += 1,
+                DropKind::BreakerOpen => self.breaker_rejected += 1,
+                _ => {}
+            }
+        }
+        if r.completed.is_some() {
+            if let Some(wait) = r.queue_wait() {
+                self.wait_total += wait;
+                self.wait_count += 1;
+            }
+        }
+    }
+
+    /// Counts one in-window logical request.
+    fn chain(&mut self, chain: &Chain, slo: SimDuration, promise: SimDuration) {
+        self.offered += 1;
+        self.attempts += chain.attempts;
+        match chain.completion {
+            Some(at) => {
+                self.served += 1;
+                let latency = at.saturating_since(chain.arrival);
+                self.within_slo += usize::from(latency <= slo);
+                self.within_deadline += usize::from(latency <= promise);
+                self.latencies.push(latency);
+            }
+            None if chain.pending => self.unfinished += 1,
+            None => self.failed += 1,
+        }
+    }
+
+    /// Batch and recovery statistics of one in-window serve event.
+    fn window_event(&mut self, e: &ServeEvent) {
+        match e.kind {
+            ServeEventKind::BatchFormed {
+                size,
+                queue_depth,
+                degraded,
+                ..
+            } => {
+                self.batches += 1;
+                self.batched_requests += u64::from(size);
+                self.degraded_batches += usize::from(degraded);
+                self.max_queue_depth = self.max_queue_depth.max(queue_depth + size as usize);
+            }
+            ServeEventKind::BreakerTrip { .. } => self.breaker_trips += 1,
+            ServeEventKind::ReplicaDown { pid, .. } => {
+                self.down_at.insert(pid, e.time);
+            }
+            ServeEventKind::ReplicaUp { pid } => {
+                self.replica_restarts += 1;
+                if let Some(down) = self.down_at.remove(&pid) {
+                    self.recovery_total += e.time.saturating_since(down);
+                }
+            }
+            ServeEventKind::ReplicaEjected { .. } => self.replica_ejected += 1,
+            _ => {}
+        }
+    }
+
+    /// Autoscaling telemetry replays the *full* event history: the
+    /// serving set at window start is the product of warmups,
+    /// provisions and reaps during warmup, so the replica-seconds
+    /// integral cannot start from the in-window events alone. Static
+    /// groups emit none of these events and keep zeros.
+    fn replay_event(&mut self, e: &ServeEvent, window: (SimTime, SimTime)) {
+        match e.kind {
+            ServeEventKind::ReplicaProvisioned { pid, cold } => {
+                self.provisioned_at.insert(pid, (e.time, cold));
+                if cold {
+                    self.cold_starts += 1;
+                } else {
+                    self.warm_starts += 1;
+                }
+            }
+            ServeEventKind::ReplicaWarmed { pid } => {
+                self.advance(e.time, window);
+                self.up_set.insert(pid);
+                if let Some((at, true)) = self.provisioned_at.remove(&pid) {
+                    self.cold_tax_total += e.time.saturating_since(at);
+                    self.cold_tax_count += 1;
+                }
+            }
+            ServeEventKind::ReplicaReaped { pid } => {
+                self.advance(e.time, window);
+                self.up_set.remove(&pid);
+                self.reaps += 1;
+            }
+            ServeEventKind::ReplicaDown { pid, .. } => {
+                self.advance(e.time, window);
+                // A kill mid-provision cancels the start; drop the
+                // pending tax entry too.
+                self.provisioned_at.remove(&pid);
+                let serving = self.up_set.remove(&pid);
+                self.serving_at_down.insert(pid, serving);
+            }
+            // Restarts revive the *process*; it rejoins the serving set
+            // only if it was serving when it went down (parked replicas
+            // come back parked).
+            ServeEventKind::ReplicaUp { pid }
+                if self.serving_at_down.remove(&pid).unwrap_or(false) =>
+            {
+                self.advance(e.time, window);
+                self.up_set.insert(pid);
+            }
+            ServeEventKind::ParkedToZero => self.scale_to_zero_parks += 1,
+            _ => {}
+        }
+    }
+
+    /// Integrates the serving set's size from the last change up to
+    /// `to`, clipped to the measured `window`.
+    fn advance(&mut self, to: SimTime, (start, end): (SimTime, SimTime)) {
+        let from = self.last_t.max(start);
+        let until = to.min(end);
+        if until > from {
+            self.replica_seconds +=
+                self.up_set.len() as f64 * until.saturating_since(from).as_secs_f64();
+        }
+        self.last_t = to;
+    }
+
+    fn into_report(mut self, label: &str, measured_secs: f64) -> GroupReport {
+        self.latencies.sort_unstable();
+        let per_sec = |count: usize| {
+            if measured_secs > 0.0 {
+                count as f64 / measured_secs
+            } else {
+                0.0
+            }
+        };
+        let ratio = |num: f64, den: usize| if den > 0 { num / den as f64 } else { 0.0 };
+        let over_offered = |count: usize| ratio(count as f64, self.offered);
+        let pct = |q: f64| nearest_rank(&self.latencies, q).map_or(0.0, SimDuration::as_millis_f64);
+        GroupReport {
+            label: label.to_string(),
+            offered: self.offered,
+            served: self.served,
+            failed: self.failed,
+            rejected: self.rejected,
+            shed: self.shed,
+            deadline_expired: self.deadline_expired,
+            killed_inflight: self.killed_inflight,
+            hedge_losers: self.hedge_losers,
+            breaker_rejected: self.breaker_rejected,
+            unfinished: self.unfinished,
+            attempts: self.attempts,
+            retry_amplification: over_offered(self.attempts),
+            offered_qps: per_sec(self.offered),
+            served_qps: per_sec(self.served),
+            goodput_qps: per_sec(self.within_slo),
+            slo_attainment: over_offered(self.within_slo),
+            deadline_hit_rate: over_offered(self.within_deadline),
+            p50_ms: pct(50.0),
+            p95_ms: pct(95.0),
+            p99_ms: pct(99.0),
+            mean_queue_wait_ms: ratio(self.wait_total.as_millis_f64(), self.wait_count),
+            mean_batch: ratio(self.batched_requests as f64, self.batches),
+            max_queue_depth: self.max_queue_depth,
+            degraded_batches: self.degraded_batches,
+            breaker_trips: self.breaker_trips,
+            replica_restarts: self.replica_restarts,
+            replica_ejected: self.replica_ejected,
+            mttr_ms: ratio(self.recovery_total.as_millis_f64(), self.replica_restarts),
+            replica_seconds: self.replica_seconds,
+            cold_starts: self.cold_starts,
+            warm_starts: self.warm_starts,
+            cold_start_tax_ms: ratio(self.cold_tax_total.as_millis_f64(), self.cold_tax_count),
+            reaps: self.reaps,
+            scale_to_zero_parks: self.scale_to_zero_parks,
+        }
+    }
 }
 
 impl ServeReport {
@@ -158,292 +435,50 @@ impl ServeReport {
         deadline: Option<SimDuration>,
     ) -> Self {
         let window_start = SimTime::ZERO + warmup;
+        let window = (window_start, window_start + trace.measured);
         let measured_secs = trace.measured.as_secs_f64();
-
-        // Resolve every physical record to its chain root in one pass —
-        // parents always precede children in arrival order — then roll
-        // chains up. Physical drop-cause counters stay per-record so the
-        // report still shows *why* attempts died.
-        let n = trace.requests.len();
-        let mut root = vec![0usize; n];
-        let mut chains: HashMap<usize, Chain> = HashMap::new();
-        let n_groups = trace.serve_group_labels.len();
-        let mut rejected = vec![0usize; n_groups];
-        let mut shed = vec![0usize; n_groups];
-        let mut deadline_expired = vec![0usize; n_groups];
-        let mut killed_inflight = vec![0usize; n_groups];
-        let mut hedge_losers = vec![0usize; n_groups];
-        let mut breaker_rejected = vec![0usize; n_groups];
-        let mut wait_total = vec![SimDuration::ZERO; n_groups];
-        let mut wait_count = vec![0usize; n_groups];
-        for (i, r) in trace.requests.iter().enumerate() {
-            root[i] = match r.retry_of.or(r.hedge_of) {
-                Some(parent) => root[parent],
-                None => i,
-            };
-            let chain = chains.entry(root[i]).or_insert_with(|| Chain {
-                group: r.group,
-                arrival: r.arrival,
-                in_window: r.arrival >= window_start,
-                completion: None,
-                pending: false,
-                attempts: 0,
-            });
-            chain.attempts += 1;
-            let in_window = chain.in_window;
-            if let Some(at) = r.completed {
-                chain.completion = Some(chain.completion.map_or(at, |best| best.min(at)));
-            } else if r.dropped.is_none() {
-                chain.pending = true;
-            }
-            if !in_window {
-                continue;
-            }
-            if let Some(drop) = &r.dropped {
-                match drop.kind {
-                    DropKind::Rejected => rejected[r.group] += 1,
-                    DropKind::Shed => shed[r.group] += 1,
-                    DropKind::DeadlineExpired => deadline_expired[r.group] += 1,
-                    DropKind::Killed => killed_inflight[r.group] += 1,
-                    DropKind::HedgeLoser => hedge_losers[r.group] += 1,
-                    DropKind::BreakerOpen => breaker_rejected[r.group] += 1,
-                    _ => {}
-                }
-            }
-            if r.completed.is_some() {
-                if let Some(wait) = r.queue_wait() {
-                    wait_total[r.group] += wait;
-                    wait_count[r.group] += 1;
-                }
-            }
-        }
-
-        let groups = trace
+        let mut groups: Vec<GroupAcc> = trace
             .serve_group_labels
             .iter()
-            .enumerate()
-            .map(|(g, label)| {
-                let mut offered = 0usize;
-                let mut served = 0usize;
-                let mut failed = 0usize;
-                let mut unfinished = 0usize;
-                let mut attempts = 0usize;
-                let mut within_slo = 0usize;
-                let mut within_deadline = 0usize;
-                let mut latencies: Vec<SimDuration> = Vec::new();
-                let promise = deadline.unwrap_or(slo);
-                for chain in chains.values() {
-                    if chain.group != g || !chain.in_window {
-                        continue;
-                    }
-                    offered += 1;
-                    attempts += chain.attempts;
-                    match chain.completion {
-                        Some(at) => {
-                            served += 1;
-                            let latency = at.saturating_since(chain.arrival);
-                            if latency <= slo {
-                                within_slo += 1;
-                            }
-                            if latency <= promise {
-                                within_deadline += 1;
-                            }
-                            latencies.push(latency);
-                        }
-                        None if chain.pending => unfinished += 1,
-                        None => failed += 1,
-                    }
-                }
-                latencies.sort_unstable();
-
-                let mut batches = 0usize;
-                let mut batched_requests = 0u64;
-                let mut degraded_batches = 0usize;
-                let mut max_queue_depth = 0usize;
-                let mut breaker_trips = 0usize;
-                let mut replica_restarts = 0usize;
-                let mut replica_ejected = 0usize;
-                let mut down_at: HashMap<usize, SimTime> = HashMap::new();
-                let mut recovery_total = SimDuration::ZERO;
-                for e in trace
-                    .serve_events
-                    .iter()
-                    .filter(|e| e.group == g && e.time >= window_start)
-                {
-                    match e.kind {
-                        ServeEventKind::BatchFormed {
-                            size,
-                            queue_depth,
-                            degraded,
-                            ..
-                        } => {
-                            batches += 1;
-                            batched_requests += u64::from(size);
-                            degraded_batches += usize::from(degraded);
-                            max_queue_depth = max_queue_depth.max(queue_depth + size as usize);
-                        }
-                        ServeEventKind::BreakerTrip { .. } => breaker_trips += 1,
-                        ServeEventKind::ReplicaDown { pid, .. } => {
-                            down_at.insert(pid, e.time);
-                        }
-                        ServeEventKind::ReplicaUp { pid } => {
-                            replica_restarts += 1;
-                            if let Some(down) = down_at.remove(&pid) {
-                                recovery_total += e.time.saturating_since(down);
-                            }
-                        }
-                        ServeEventKind::ReplicaEjected { .. } => replica_ejected += 1,
-                        _ => {}
-                    }
-                }
-
-                // Autoscaling telemetry replays the *full* event history:
-                // the serving set at window start is the product of
-                // warmups, provisions and reaps during warmup, so the
-                // replica-seconds integral cannot start from the
-                // in-window events alone. Static groups emit none of
-                // these events and fall through with zeros.
-                let window_end = window_start + trace.measured;
-                let mut up_set: HashSet<usize> = HashSet::new();
-                let mut serving_at_down: HashMap<usize, bool> = HashMap::new();
-                let mut provisioned_at: HashMap<usize, (SimTime, bool)> = HashMap::new();
-                let mut cold_starts = 0usize;
-                let mut warm_starts = 0usize;
-                let mut cold_tax_total = SimDuration::ZERO;
-                let mut cold_tax_count = 0usize;
-                let mut reaps = 0usize;
-                let mut scale_to_zero_parks = 0usize;
-                let mut replica_seconds = 0.0f64;
-                let mut last_t = SimTime::ZERO;
-                let advance = |to: SimTime, up: usize, last_t: &mut SimTime, acc: &mut f64| {
-                    let from = (*last_t).max(window_start);
-                    let until = to.min(window_end);
-                    if until > from {
-                        *acc += up as f64 * until.saturating_since(from).as_secs_f64();
-                    }
-                    *last_t = to;
-                };
-                for e in trace.serve_events.iter().filter(|e| e.group == g) {
-                    match e.kind {
-                        ServeEventKind::ReplicaProvisioned { pid, cold } => {
-                            provisioned_at.insert(pid, (e.time, cold));
-                            if cold {
-                                cold_starts += 1;
-                            } else {
-                                warm_starts += 1;
-                            }
-                        }
-                        ServeEventKind::ReplicaWarmed { pid } => {
-                            advance(e.time, up_set.len(), &mut last_t, &mut replica_seconds);
-                            up_set.insert(pid);
-                            if let Some((at, cold)) = provisioned_at.remove(&pid) {
-                                if cold {
-                                    cold_tax_total += e.time.saturating_since(at);
-                                    cold_tax_count += 1;
-                                }
-                            }
-                        }
-                        ServeEventKind::ReplicaReaped { pid } => {
-                            advance(e.time, up_set.len(), &mut last_t, &mut replica_seconds);
-                            up_set.remove(&pid);
-                            reaps += 1;
-                        }
-                        ServeEventKind::ReplicaDown { pid, .. } => {
-                            advance(e.time, up_set.len(), &mut last_t, &mut replica_seconds);
-                            // A kill mid-provision cancels the start;
-                            // drop the pending tax entry too.
-                            provisioned_at.remove(&pid);
-                            serving_at_down.insert(pid, up_set.remove(&pid));
-                        }
-                        // Restarts revive the *process*; it rejoins the
-                        // serving set only if it was serving when it
-                        // went down (parked replicas come back parked).
-                        ServeEventKind::ReplicaUp { pid }
-                            if serving_at_down.remove(&pid).unwrap_or(false) =>
-                        {
-                            advance(e.time, up_set.len(), &mut last_t, &mut replica_seconds);
-                            up_set.insert(pid);
-                        }
-                        ServeEventKind::ParkedToZero => scale_to_zero_parks += 1,
-                        _ => {}
-                    }
-                }
-                advance(window_end, up_set.len(), &mut last_t, &mut replica_seconds);
-
-                let per_sec = |count: usize| {
-                    if measured_secs > 0.0 {
-                        count as f64 / measured_secs
-                    } else {
-                        0.0
-                    }
-                };
-                let over_offered = |count: usize| {
-                    if offered > 0 {
-                        count as f64 / offered as f64
-                    } else {
-                        0.0
-                    }
-                };
-                GroupReport {
-                    label: label.clone(),
-                    offered,
-                    served,
-                    failed,
-                    rejected: rejected[g],
-                    shed: shed[g],
-                    deadline_expired: deadline_expired[g],
-                    killed_inflight: killed_inflight[g],
-                    hedge_losers: hedge_losers[g],
-                    breaker_rejected: breaker_rejected[g],
-                    unfinished,
-                    attempts,
-                    retry_amplification: over_offered(attempts),
-                    offered_qps: per_sec(offered),
-                    served_qps: per_sec(served),
-                    goodput_qps: per_sec(within_slo),
-                    slo_attainment: over_offered(within_slo),
-                    deadline_hit_rate: over_offered(within_deadline),
-                    p50_ms: nearest_rank(&latencies, 50.0).map_or(0.0, SimDuration::as_millis_f64),
-                    p95_ms: nearest_rank(&latencies, 95.0).map_or(0.0, SimDuration::as_millis_f64),
-                    p99_ms: nearest_rank(&latencies, 99.0).map_or(0.0, SimDuration::as_millis_f64),
-                    mean_queue_wait_ms: if wait_count[g] > 0 {
-                        wait_total[g].as_millis_f64() / wait_count[g] as f64
-                    } else {
-                        0.0
-                    },
-                    mean_batch: if batches > 0 {
-                        batched_requests as f64 / batches as f64
-                    } else {
-                        0.0
-                    },
-                    max_queue_depth,
-                    degraded_batches,
-                    breaker_trips,
-                    replica_restarts,
-                    replica_ejected,
-                    mttr_ms: if replica_restarts > 0 {
-                        recovery_total.as_millis_f64() / replica_restarts as f64
-                    } else {
-                        0.0
-                    },
-                    replica_seconds,
-                    cold_starts,
-                    warm_starts,
-                    cold_start_tax_ms: if cold_tax_count > 0 {
-                        cold_tax_total.as_millis_f64() / cold_tax_count as f64
-                    } else {
-                        0.0
-                    },
-                    reaps,
-                    scale_to_zero_parks,
-                }
-            })
+            .map(|_| GroupAcc::default())
             .collect();
+
+        // Roll records up into chains in one pass; physical drop-cause
+        // counters stay per record so the report still shows *why*
+        // attempts died. Every total below is order-independent (the
+        // latencies are sorted), and each group's serve events keep
+        // their time order, so one pass per input suffices.
+        let chains = roll_up_chains(&trace.requests, |r, chain| {
+            if chain.arrival >= window_start {
+                groups[r.group].record(r);
+            }
+        });
+        let promise = deadline.unwrap_or(slo);
+        for chain in chains.iter().filter(|c| c.arrival >= window_start) {
+            groups[chain.group].chain(chain, slo, promise);
+        }
+        for e in &trace.serve_events {
+            let Some(acc) = groups.get_mut(e.group) else {
+                continue;
+            };
+            if e.time >= window_start {
+                acc.window_event(e);
+            }
+            acc.replay_event(e, window);
+        }
+        for acc in &mut groups {
+            acc.advance(window.1, window);
+        }
+
         ServeReport {
             device: trace.device_name.clone(),
             measured_secs,
             slo_ms: slo.as_millis_f64(),
-            groups,
+            groups: groups
+                .into_iter()
+                .zip(&trace.serve_group_labels)
+                .map(|(acc, label)| acc.into_report(label, measured_secs))
+                .collect(),
         }
     }
 }

@@ -35,7 +35,7 @@ use crate::serving::{
     BreakerGate, DropKind, DropRecord, HedgePolicy, RecoveryPolicy, RetryPolicy, ScaleDecision,
     ScaleSignals, ServeEventKind,
 };
-use crate::soa::{RequestColumns, ServeEventColumns};
+use crate::soa::{RequestLog, ServeEventColumns};
 
 use super::gpu::GpuEngine;
 use super::memory_guard::MemoryGuard;
@@ -255,9 +255,9 @@ pub(crate) struct Ingress {
     idle_since: Vec<SimTime>,
     /// Hedge pairing: each member of an unresolved pair maps to its twin.
     hedge_peer: HashMap<usize, usize>,
-    /// Every request's lifecycle, in arrival order (columnar; each
-    /// lifecycle step touches only the columns it changes).
-    pub(crate) requests: RequestColumns,
+    /// Every request's lifecycle, in arrival order (each lifecycle step
+    /// updates its record in place).
+    pub(crate) requests: RequestLog,
     /// Batch formations, degradation flips, breaker transitions and
     /// replica health changes, in time order (columnar).
     pub(crate) serve_events: ServeEventColumns,
@@ -375,7 +375,7 @@ impl Ingress {
             start_gen: vec![0; n],
             idle_since: vec![SimTime::ZERO; n],
             hedge_peer: HashMap::new(),
-            requests: RequestColumns::default(),
+            requests: RequestLog::default(),
             serve_events: ServeEventColumns::default(),
         }
     }
@@ -843,8 +843,13 @@ impl Ingress {
         self.try_dispatch(g, now, ctx, deps);
     }
 
-    /// Removes `ri`'s hedge pairing (both directions), if any.
+    /// Removes `ri`'s hedge pairing (both directions), if any. Runs on
+    /// every drop, so it skips the lookup while no pair is live (always,
+    /// for groups without a hedge policy).
     fn unlink_hedge(&mut self, ri: usize) {
+        if self.hedge_peer.is_empty() {
+            return;
+        }
         if let Some(peer) = self.hedge_peer.remove(&ri) {
             self.hedge_peer.remove(&peer);
         }

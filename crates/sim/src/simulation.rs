@@ -439,7 +439,7 @@ impl Runner {
             preemptions: std::mem::take(&mut self.gpu.preemptions).into_vec(),
             power_samples: std::mem::take(&mut self.sampler.power_samples),
             fault_events: std::mem::take(&mut self.guard.fault_events).into_vec(),
-            requests: std::mem::take(&mut self.ingress.requests).into_vec(),
+            requests: std::mem::take(&mut self.ingress.requests).finish(),
             serve_events: std::mem::take(&mut self.ingress.serve_events).into_vec(),
             serve_group_labels: self
                 .config

@@ -1,4 +1,5 @@
-//! Columnar (structure-of-arrays) trace buffers for the DES hot loop.
+//! Trace buffers for the DES hot loop: columnar (structure-of-arrays)
+//! buffers for the append-only streams, and one row-wise request log.
 //!
 //! Trace recording happens millions of times per run — once per kernel,
 //! once per EC, once per request-lifecycle step. Pushing whole AoS
@@ -14,6 +15,9 @@
 //! Every column type has an `into_vec` compatibility view producing the
 //! same AoS vector the pre-SoA code built, so `finalize`, the chrome
 //! tracer and the golden-parity hashes are byte-identical.
+//!
+//! Requests are the exception: [`RequestLog`] keeps whole records (see
+//! its docs for why).
 
 use jetsim_des::{SimDuration, SimTime};
 use jetsim_dnn::Precision;
@@ -260,101 +264,103 @@ impl ServeEventColumns {
     }
 }
 
-/// Columnar [`RequestRecord`] storage. Requests mutate in place as they
-/// move through their lifecycle (arrive → dispatch → complete, or
-/// drop), so this exposes indexed setters instead of whole-struct
-/// writes: each lifecycle step touches only the columns it changes.
+/// The request log: one [`RequestRecord`] per request, in arrival
+/// order. Requests mutate in place as they move through their lifecycle
+/// (arrive → dispatch → complete, or drop) through indexed setters, and
+/// [`RequestLog::finish`] hands the same vector to the
+/// [`crate::RunTrace`].
+///
+/// Row-wise on purpose, unlike the append-only columns above: every
+/// lifecycle step rewrites a record long after it was pushed, and the
+/// public trace is row-wise, so the log moves into the trace as is.
+/// Gathering columns into rows would hold two copies of the log live at
+/// once, and in an overloaded serve run nearly every offered request is
+/// a record.
 #[derive(Debug, Default)]
-pub(crate) struct RequestColumns {
-    group: Vec<u32>,
-    seq: Vec<u64>,
-    arrival: Vec<SimTime>,
-    dispatched: Vec<Option<SimTime>>,
-    completed: Vec<Option<SimTime>>,
-    dropped: Vec<Option<DropRecord>>,
-    pid: Vec<Option<u32>>,
-    batch_size: Vec<u32>,
-    degraded: Vec<bool>,
-    attempt: Vec<u32>,
-    retry_of: Vec<Option<u32>>,
-    hedge_of: Vec<Option<u32>>,
+pub(crate) struct RequestLog {
+    records: Vec<RequestRecord>,
 }
 
-impl RequestColumns {
+impl RequestLog {
     /// Appends a freshly arrived request and returns its index.
     #[inline]
     pub(crate) fn push_arrival(&mut self, group: usize, seq: u64, arrival: SimTime) -> usize {
-        let ri = self.group.len();
-        self.group.push(group as u32);
-        self.seq.push(seq);
-        self.arrival.push(arrival);
-        self.dispatched.push(None);
-        self.completed.push(None);
-        self.dropped.push(None);
-        self.pid.push(None);
-        self.batch_size.push(0);
-        self.degraded.push(false);
-        self.attempt.push(0);
-        self.retry_of.push(None);
-        self.hedge_of.push(None);
+        let ri = self.records.len();
+        self.records.push(RequestRecord {
+            group,
+            seq,
+            arrival,
+            dispatched: None,
+            completed: None,
+            dropped: None,
+            pid: None,
+            batch_size: 0,
+            degraded: false,
+            attempt: 0,
+            retry_of: None,
+            hedge_of: None,
+        });
         ri
     }
 
     #[inline]
     pub(crate) fn arrival(&self, ri: usize) -> SimTime {
-        self.arrival[ri]
+        self.records[ri].arrival
     }
 
     #[inline]
     pub(crate) fn group(&self, ri: usize) -> usize {
-        self.group[ri] as usize
+        self.records[ri].group
     }
 
     #[inline]
     pub(crate) fn attempt(&self, ri: usize) -> u32 {
-        self.attempt[ri]
+        self.records[ri].attempt
     }
 
     /// `true` while the request is still waiting in its admission queue.
     #[inline]
     pub(crate) fn is_queued(&self, ri: usize) -> bool {
-        self.dispatched[ri].is_none() && self.dropped[ri].is_none() && self.completed[ri].is_none()
+        let r = &self.records[ri];
+        r.dispatched.is_none() && r.unfinished()
     }
 
     /// `true` while the request is dispatched but not yet terminal.
     #[inline]
     pub(crate) fn is_in_flight(&self, ri: usize) -> bool {
-        self.dispatched[ri].is_some() && self.dropped[ri].is_none() && self.completed[ri].is_none()
+        let r = &self.records[ri];
+        r.dispatched.is_some() && r.unfinished()
     }
 
     /// Marks `ri` as attempt `attempt` retrying the earlier record
     /// `parent`.
     #[inline]
     pub(crate) fn mark_retry(&mut self, ri: usize, attempt: u32, parent: usize) {
-        self.attempt[ri] = attempt;
-        self.retry_of[ri] = Some(parent as u32);
+        let r = &mut self.records[ri];
+        r.attempt = attempt;
+        r.retry_of = Some(parent);
     }
 
     /// Marks `ri` as the hedge duplicate of the in-flight `primary`.
     #[inline]
     pub(crate) fn mark_hedge(&mut self, ri: usize, primary: usize) {
-        self.hedge_of[ri] = Some(primary as u32);
+        self.records[ri].hedge_of = Some(primary);
     }
 
     /// `true` when `ri` is a hedge duplicate.
     #[inline]
     pub(crate) fn is_hedge(&self, ri: usize) -> bool {
-        self.hedge_of[ri].is_some()
+        self.records[ri].hedge_of.is_some()
     }
 
     #[inline]
     pub(crate) fn mark_dropped(&mut self, ri: usize, record: DropRecord) {
-        self.dropped[ri] = Some(record);
+        self.records[ri].dropped = Some(record);
     }
 
     #[inline]
     pub(crate) fn mark_completed(&mut self, ri: usize, at: SimTime) {
-        self.completed[ri] = Some(at);
+        self.records[ri].completed = Some(at);
     }
 
     /// Records a batch dispatch for one member request.
@@ -367,32 +373,18 @@ impl RequestColumns {
         batch_size: u32,
         degraded: bool,
     ) {
-        self.dispatched[ri] = Some(at);
-        self.pid[ri] = Some(pid as u32);
-        self.batch_size[ri] = batch_size;
-        self.degraded[ri] = degraded;
+        let r = &mut self.records[ri];
+        r.dispatched = Some(at);
+        r.pid = Some(pid);
+        r.batch_size = batch_size;
+        r.degraded = degraded;
     }
 
-    /// Materialises the AoS view consumed by [`crate::RunTrace`].
-    pub(crate) fn into_vec(self) -> Vec<RequestRecord> {
-        let mut out = Vec::with_capacity(self.group.len());
-        for i in 0..self.group.len() {
-            out.push(RequestRecord {
-                group: self.group[i] as usize,
-                seq: self.seq[i],
-                arrival: self.arrival[i],
-                dispatched: self.dispatched[i],
-                completed: self.completed[i],
-                dropped: self.dropped[i],
-                pid: self.pid[i].map(|p| p as usize),
-                batch_size: self.batch_size[i],
-                degraded: self.degraded[i],
-                attempt: self.attempt[i],
-                retry_of: self.retry_of[i].map(|p| p as usize),
-                hedge_of: self.hedge_of[i].map(|p| p as usize),
-            });
-        }
-        out
+    /// Hands the log over as the [`crate::RunTrace::requests`] vector,
+    /// trimmed so its capacity equals its length.
+    pub(crate) fn finish(mut self) -> Vec<RequestRecord> {
+        self.records.shrink_to_fit();
+        self.records
     }
 }
 
@@ -445,7 +437,7 @@ mod tests {
 
     #[test]
     fn request_columns_lifecycle() {
-        let mut cols = RequestColumns::default();
+        let mut cols = RequestLog::default();
         let a = cols.push_arrival(0, 0, SimTime::from_nanos(5));
         let b = cols.push_arrival(1, 1, SimTime::from_nanos(6));
         assert_eq!((a, b), (0, 1));
@@ -459,7 +451,7 @@ mod tests {
                 kind: DropKind::Shed,
             },
         );
-        let v = cols.into_vec();
+        let v = cols.finish();
         assert_eq!(v[0].pid, Some(2));
         assert_eq!(v[0].batch_size, 4);
         assert!(v[0].degraded);
@@ -474,7 +466,7 @@ mod tests {
 
     #[test]
     fn request_columns_track_retry_and_hedge_links() {
-        let mut cols = RequestColumns::default();
+        let mut cols = RequestLog::default();
         let root = cols.push_arrival(0, 0, SimTime::from_nanos(1));
         let retry = cols.push_arrival(0, 1, SimTime::from_nanos(10));
         cols.mark_retry(retry, 1, root);
@@ -488,11 +480,52 @@ mod tests {
         assert!(cols.is_in_flight(root));
         cols.mark_completed(root, SimTime::from_nanos(9));
         assert!(!cols.is_in_flight(root));
-        let v = cols.into_vec();
+        let v = cols.finish();
         assert_eq!(v[retry].retry_of, Some(root));
         assert_eq!(v[retry].attempt, 1);
         assert_eq!(v[hedge].hedge_of, Some(retry));
         assert!(v[root].is_root() && !v[retry].is_root() && !v[hedge].is_root());
+    }
+
+    /// The log grows by doubling, so a run's trace would otherwise keep
+    /// up to twice the bytes its records need.
+    #[test]
+    fn request_columns_hand_over_a_trimmed_log() {
+        use std::sync::Arc;
+
+        use jetsim_des::ArrivalProcess;
+        use jetsim_dnn::zoo;
+        use jetsim_trt::EngineBuilder;
+
+        use crate::serving::{AdmissionPolicy, ServeGroup, ServePlan};
+        use crate::{SimConfig, Simulation};
+
+        let device = jetsim_device::presets::orin_nano();
+        let engine = Arc::new(
+            EngineBuilder::new(&device)
+                .precision(Precision::Int8)
+                .batch(1)
+                .build(&zoo::resnet50())
+                .unwrap(),
+        );
+        let config = SimConfig::builder(device)
+            .add_engine_named("resnet50/0", engine)
+            .serve(
+                ServePlan::new().group(
+                    ServeGroup::new("resnet50", ArrivalProcess::poisson(20_000.0))
+                        .members([0])
+                        .queue_cap(16)
+                        .admission(AdmissionPolicy::Reject),
+                ),
+            )
+            .warmup(SimDuration::from_millis(10))
+            .measure(SimDuration::from_millis(90))
+            .seed(7)
+            .build()
+            .unwrap();
+        let trace = Simulation::new(config).unwrap().run();
+        assert!(trace.requests.len() > 1_000, "an overloaded run");
+        assert_eq!(trace.requests.capacity(), trace.requests.len());
     }
 
     #[test]
